@@ -61,10 +61,10 @@ for threads in 1 2 8; do
     RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp --test thread_determinism
 done
 
-echo "==> fast-path equivalence at RAYON_NUM_THREADS=1,2,8 (SSTSP_NO_FASTPATH runs bit-identical)"
+echo "==> frozen engine digests at RAYON_NUM_THREADS=1,2,8 (every fixture's observables bit-identical)"
 for threads in 1 2 8; do
     echo "    RAYON_NUM_THREADS=$threads"
-    RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp-faults --test fastpath_equivalence
+    RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp-faults --test engine_goldens
 done
 
 echo "==> record/replay round trip (golden 2-domain bridged scenario, byte-identical)"
