@@ -1,23 +1,31 @@
 //! The network simulation engine.
 //!
-//! One [`Network`] instance simulates one IBSS for one scenario. Per beacon
-//! period it:
+//! One [`Network`] instance simulates one scenario — an IBSS or a multi-hop
+//! mesh — in a single loop. Per beacon period it:
 //!
-//! 1. applies churn (departures / returns) and jamming windows,
-//! 2. collects every present station's beacon intent and resolves the
-//!    beacon generation window on the shared channel,
-//! 3. delivers a successful beacon to every present receiver at the correct
+//! 1. applies churn (departures / returns), hook fault actions and jamming
+//!    windows — skipped outright on a BP where nothing is scheduled,
+//! 2. collects every present station's beacon intent (from the dense node
+//!    cache when the protocol predicted it, else through the trait call),
+//! 3. resolves the beacon generation window with one of two models: the
+//!    IBSS channel decides it from the earliest occupied slot, a topology
+//!    resolves it per collision domain,
+//! 4. delivers each decoded beacon to its present receivers at the correct
 //!    reception instant (each receiver timestamps it with its *own*
-//!    drifting clock), subject to independent packet-error draws,
-//! 4. gives transmit feedback, closes the BP, and samples the maximum
-//!    pairwise difference of the honest stations' synchronized clocks.
+//!    drifting clock), subject to batched packet-error draws,
+//! 5. closes the BP in one sweep and samples the maximum pairwise
+//!    difference of the honest stations' synchronized clocks.
 //!
-//! Because the IBSS is a single collision domain, the entire beacon window
-//! outcome is determined at the window start — there is no event that could
-//! interleave mid-window — so deliveries are computed inline at their exact
-//! reception times rather than round-tripping through the event heap. The
-//! heap-based [`simcore::Simulator`] drives the BP sequence itself, which
-//! keeps the time bookkeeping honest (monotone, horizon-checked).
+//! An attached [`EngineHook`] is dispatched from the same loop: per event
+//! (deliveries, window outcomes, BP-end snapshots) or, for passive
+//! observers, as one batch per BP.
+//!
+//! The whole beacon window outcome is determined at the window start —
+//! there is no event that could interleave mid-window — so deliveries are
+//! computed inline at their exact reception times rather than
+//! round-tripping through the event heap. The heap-based
+//! [`simcore::Simulator`] drives the BP sequence itself, which keeps the
+//! time bookkeeping honest (monotone, horizon-checked).
 
 use crate::instrument::{
     BatchRx, BpBatch, BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction,
@@ -43,8 +51,8 @@ use sstsp_telemetry as telemetry;
 use std::sync::Arc;
 use sync_analysis::{SpreadTracker, SyncCriterion};
 use wireless::{
-    resolve_mesh, resolve_multihop, Channel, Delivery, DomainDecomposition, MeshResolver,
-    MhAttempt, MhDelivery, PhyParams, Topology, TxAttempt, WindowOutcome,
+    Channel, Delivery, DomainDecomposition, MeshResolver, MhAttempt, MhDelivery, PhyParams,
+    Topology, TxAttempt, WindowOutcome,
 };
 
 /// Binning of the per-BP spread distribution recorded into telemetry:
@@ -123,53 +131,48 @@ pub struct RunResult {
 /// indexed by station id stand in for NodeId-keyed hash maps; they are
 /// cleared (not reallocated) at the start of each window.
 struct Scratch {
-    /// Single-hop transmission attempts for the current window.
+    /// Intents of the current window, one entry per transmitting station.
+    attempts: Vec<MhAttempt>,
+    /// The same attempts in the IBSS channel's form.
     tx_attempts: Vec<TxAttempt>,
-    /// Multi-hop transmission attempts for the current window.
-    mh_attempts: Vec<MhAttempt>,
     /// Beacon produced by each transmitting station this window.
     payloads: Vec<Option<BeaconPayload>>,
+    /// Reception instant per transmitting station of the current window
+    /// (constant across that station's receivers).
+    t_rx_by_tx: Vec<SimTime>,
     /// Whether each transmitter reached at least one receiver this window.
     reached: Vec<bool>,
+    /// Deliveries of the current window to present receivers, in delivery
+    /// order.
+    rx: Vec<MhDelivery>,
+    /// Batched channel verdicts, parallel to `rx`.
+    rx_fates: Vec<Delivery>,
     /// Clocks of honest synchronized present stations, sampled at BP end.
     clocks: Vec<f64>,
-    /// Fast path: receiver ids of the current window, in id order.
-    rx_ids: Vec<u32>,
-    /// Fast path: batched per-receiver delivery verdicts (parallel to
-    /// `rx_ids`).
-    rx_fates: Vec<Delivery>,
-    /// Mesh fast path: present-receiver deliveries of the current window,
-    /// in delivery order (parallel to `rx_fates` after the batch draw).
-    mh_rx: Vec<MhDelivery>,
-    /// Passive-hook fast path: stations that transmitted this BP, in slot
-    /// order, buffered for the end-of-BP batch callback.
+    /// Batched hook dispatch: stations that transmitted this BP, in slot
+    /// order.
     batch_txs: Vec<NodeId>,
-    /// Passive-hook fast path: completed deliveries of this BP, in
-    /// delivery order, buffered for the end-of-BP batch callback.
+    /// Batched hook dispatch: completed deliveries of this BP, in delivery
+    /// order.
     batch_rxs: Vec<BatchRx>,
-    /// Passive-hook fast path: per-domain reference holders at BP end.
+    /// Batched hook dispatch: per-domain reference holders at BP end.
     domain_refs: Vec<Option<NodeId>>,
-    /// Mesh fast path: reception instant per transmitting station of the
-    /// current window (constant across that station's receivers, so it is
-    /// computed once in the beacon pass instead of per delivery).
-    t_rx_by_tx: Vec<SimTime>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
+            attempts: Vec::with_capacity(n),
             tx_attempts: Vec::with_capacity(n),
-            mh_attempts: Vec::with_capacity(n),
             payloads: vec![None; n],
+            t_rx_by_tx: vec![SimTime::ZERO; n],
             reached: vec![false; n],
-            clocks: Vec::with_capacity(n),
-            rx_ids: Vec::with_capacity(n),
+            rx: Vec::with_capacity(n),
             rx_fates: Vec::with_capacity(n),
-            mh_rx: Vec::with_capacity(n),
+            clocks: Vec::with_capacity(n),
             batch_txs: Vec::new(),
             batch_rxs: Vec::new(),
             domain_refs: Vec::new(),
-            t_rx_by_tx: vec![SimTime::ZERO; n],
         }
     }
 }
@@ -448,8 +451,9 @@ impl Network {
         let ref_absence_bps = (self.scenario.ref_absence_s * 1e6 / pcfg.bp_us).round() as u64;
 
         // Quiescent-BP timeline: which BPs have *any* scheduled scenario
-        // event (churn/reference departure, jam window, attacker window).
-        // The fast path skips the per-BP event scans on quiet BPs.
+        // event (churn/reference departure, jam window, attacker or
+        // campaign window). The loop skips the per-BP event scans on quiet
+        // BPs.
         let windows_s: Vec<(f64, f64)> = self
             .scenario
             .jam_windows
@@ -509,47 +513,31 @@ impl Network {
             .filter(|&i| !honest[i as usize])
             .collect();
 
-        // The large-n fast path (dense SoA node state, cached static
-        // intents, batched delivery draws, quiescent-BP scan skipping) is
-        // bit-identical to the plain loop by construction. It runs when
-        // the attached hook declares itself fast-path-safe (a passive
-        // observer fed one batched callback per BP instead of per-event
-        // dispatch), and covers mesh topologies that carry a domain
-        // decomposition (per-domain window resolution); topologies
-        // without one (line/ring/grid/rgg) stay on the plain loop. It can
-        // be forced off for cross-checking with SSTSP_NO_FASTPATH=1.
-        let caps = hook.capabilities();
-        // Campaign runs always take the plain loop: members form intents
-        // from live protocol state (reference tracking, replay tapes,
-        // transmission parity) that the SoA static-intent cache cannot
-        // represent.
-        let fastpath = (!active || caps.fastpath_safe)
-            && (topology.is_none() || domains.is_some())
-            && scenario.campaign.is_none()
-            && std::env::var("SSTSP_NO_FASTPATH").map_or(true, |v| v != "1");
-        // A fast-path-safe hook rides along passively; `hooked` guards the
-        // per-event callbacks the slow path owes a full-fidelity hook.
-        let passive = active && fastpath;
-        let hooked = active && !fastpath;
-        // One counter tick per run records which loop actually executed, so
-        // equivalence tests can *prove* the slow path ran instead of
-        // trusting the gate above.
-        telemetry::counter_add(
-            if fastpath {
-                "engine.path.fast"
-            } else {
-                "engine.path.slow"
-            },
-            1,
-        );
+        // Hook dispatch. A hook declaring `fastpath_safe` is a passive
+        // observer fed one batched callback per BP (`on_bp_batch`); any
+        // other active hook gets the per-event callbacks, BP-end snapshots
+        // and the `on_window` replay seam. Either way the hook only ever
+        // sees copies, so the loop below is the same for every hook.
+        let batched = active && hook.capabilities().fastpath_safe;
+        let per_event = active && !batched;
+
+        // Dense per-node mirror of each protocol's hot state. Nodes whose
+        // protocol does not predict its intents (campaign members, the
+        // fast-beacon attacker, protocols without a `hot_state` override)
+        // carry no static intent and fall back to the trait call.
         let mut soa = NodeSoa::new(scenario.n_nodes as usize);
-        // Mesh fast path: reusable per-domain window resolver, built once
-        // per run from the decomposition (domain-major index permutation
-        // plus audible-domain lists and scratch buffers).
-        let mut mesh_resolver = match (&topology, &domains) {
-            (Some(t), Some(d)) if fastpath => Some(MeshResolver::new(t, d)),
-            _ => None,
-        };
+        // Window model: the IBSS channel decides a single-hop window from
+        // its earliest occupied slot; every topology resolves per collision
+        // domain — a bridged mesh over its decomposition, any other graph
+        // over its clique domains (used for resolution only: election,
+        // `CrashDomain` and the domain report key off `domains`).
+        let mut mesh = topology.as_ref().map(|topo| {
+            let resolver = match &domains {
+                Some(d) => MeshResolver::new(topo, d),
+                None => MeshResolver::new(topo, &topo.clique_domains()),
+            };
+            (topo, resolver)
+        });
 
         // Coarse per-phase wall-clock accounting for the BP loop, emitted
         // at run end through the structured log (`engine.prof`, info level
@@ -564,9 +552,7 @@ impl Network {
             let local = oscs[id as usize].local_us(SimTime::ZERO);
             let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
             nodes[id as usize].init(&mut ctx);
-            if fastpath {
-                soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-            }
+            soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
         }
         if prof {
             telemetry::log::info("engine.prof", || {
@@ -589,14 +575,17 @@ impl Network {
         let mut bp_counters = BpCounters::default();
         let mut spread_hist: Option<Histogram> = None;
         // Tracks whether every station is currently present; maintained at
-        // each non-quiet BP so the delivery loops can skip the per-entry
-        // membership filter in the (overwhelmingly common) full-mesh case.
+        // each non-quiet BP so the mesh delivery filter can skip the
+        // per-entry membership check in the (common) full-mesh case.
         let mut all_present = present.iter().all(|&p| p);
-        let mut snapshots: Vec<NodeSnapshot> =
-            Vec::with_capacity(if hooked { scenario.n_nodes as usize } else { 0 });
+        let mut snapshots: Vec<NodeSnapshot> = Vec::with_capacity(if per_event {
+            scenario.n_nodes as usize
+        } else {
+            0
+        });
 
         let mut sim: Simulator<u64> = Simulator::new(horizon);
-        if hooked {
+        if per_event {
             // Instrumented runs also cross-check simcore's event ordering
             // from the outside via the probe hook.
             let mut last = SimTime::ZERO;
@@ -626,19 +615,23 @@ impl Network {
             // changes); convergence invariants suspend after disturbances.
             let mut disturbed = false;
 
-            if hooked {
+            if per_event {
                 fault_actions.clear();
                 hook.on_bp_start(k, t0, &mut fault_actions);
             }
 
             // Quiescent-BP skip-ahead: nothing is scheduled this BP (no
             // churn or reference departure, no jam or attack window, no
-            // rejoin due) and no hook can inject faults, so the event
-            // scans below would all no-op. Skip straight to the beacon
-            // window; the only state they could have touched is the
-            // jammer flag, which a quiet BP always leaves released.
-            let quiet =
-                fastpath && !timeline.interesting(k) && returns.iter().all(|&(due, _)| due != k);
+            // rejoin due), the hook injected no fault and no fault jam is
+            // latched, so the event scans below would all no-op. Skip
+            // straight to the beacon window; the only state they could
+            // have touched is the jammer flag, which such a BP always
+            // leaves released. (A burst-loss setting lives in the channel
+            // and persists either way.)
+            let quiet = fault_actions.is_empty()
+                && !fault_jam
+                && !timeline.interesting(k)
+                && returns.iter().all(|&(due, _)| due != k);
             if quiet {
                 channel.set_jammed(false);
             } else {
@@ -649,9 +642,7 @@ impl Network {
                         let local = oscs[id as usize].local_us(t0);
                         let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
                         nodes[id as usize].on_join(&mut ctx);
-                        if fastpath {
-                            soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-                        }
+                        soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
                         disturbed = true;
                         false
                     } else {
@@ -699,35 +690,32 @@ impl Network {
                 // --- Fault injection --------------------------------------
                 // Applied after churn so a fault plan targeting the reference
                 // sees the network exactly as the scenario left it this BP.
+                macro_rules! take_down {
+                    ($node:expr, $rejoin_after_bps:expr) => {{
+                        let node: NodeId = $node;
+                        if present[node as usize] {
+                            present[node as usize] = false;
+                            let local = oscs[node as usize].local_us(t0);
+                            let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
+                            nodes[node as usize].on_leave(&mut ctx);
+                            if let Some(r) = $rejoin_after_bps {
+                                returns.push((k + r.max(1), node));
+                            }
+                        }
+                    }};
+                }
                 for &action in fault_actions.iter() {
                     disturbed = true;
                     match action {
                         FaultAction::Crash {
                             node,
                             rejoin_after_bps,
-                        } => {
-                            if present[node as usize] {
-                                present[node as usize] = false;
-                                let local = oscs[node as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                nodes[node as usize].on_leave(&mut ctx);
-                                if let Some(r) = rejoin_after_bps {
-                                    returns.push((k + r.max(1), node));
-                                }
-                            }
-                        }
+                        } => take_down!(node, rejoin_after_bps),
                         FaultAction::KillReference { rejoin_after_bps } => {
                             if let Some(id) = (0..scenario.n_nodes).find(|&id| {
                                 present[id as usize] && nodes[id as usize].is_reference()
                             }) {
-                                present[id as usize] = false;
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_leave(&mut ctx);
-                                if let Some(r) = rejoin_after_bps {
-                                    returns.push((k + r.max(1), id));
-                                }
+                                take_down!(id, rejoin_after_bps);
                             }
                         }
                         FaultAction::CrashDomain {
@@ -735,18 +723,10 @@ impl Network {
                             rejoin_after_bps,
                         } => {
                             if let Some(d) = &domains {
-                                let members = &d.domains[domain as usize % d.len()];
-                                for &node in members {
-                                    if d.is_bridge(node) || !present[node as usize] {
-                                        continue;
-                                    }
-                                    present[node as usize] = false;
-                                    let local = oscs[node as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                    nodes[node as usize].on_leave(&mut ctx);
-                                    if let Some(r) = rejoin_after_bps {
-                                        returns.push((k + r.max(1), node));
+                                // Gateways are spared.
+                                for &node in &d.domains[domain as usize % d.len()] {
+                                    if !d.is_bridge(node) {
+                                        take_down!(node, rejoin_after_bps);
                                     }
                                 }
                             }
@@ -755,20 +735,11 @@ impl Network {
                             bridge,
                             rejoin_after_bps,
                         } => {
-                            if let Some(d) = &domains {
-                                if !d.bridges.is_empty() {
-                                    let node = d.bridges[bridge as usize % d.bridges.len()];
-                                    if present[node as usize] {
-                                        present[node as usize] = false;
-                                        let local = oscs[node as usize].local_us(t0);
-                                        let mut ctx =
-                                            node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                        nodes[node as usize].on_leave(&mut ctx);
-                                        if let Some(r) = rejoin_after_bps {
-                                            returns.push((k + r.max(1), node));
-                                        }
-                                    }
-                                }
+                            if let Some(d) = domains.as_ref().filter(|d| !d.bridges.is_empty()) {
+                                take_down!(
+                                    d.bridges[bridge as usize % d.bridges.len()],
+                                    rejoin_after_bps
+                                );
                             }
                         }
                         FaultAction::ClockStep { node, delta_us } => {
@@ -804,677 +775,321 @@ impl Network {
             } // end of the non-quiet event scans
             lap!(0);
 
-            // --- Beacon generation window -----------------------------
-            match &topology {
-                None => {
-                    // Single-hop fast path: the whole window is decided by
-                    // the earliest occupied slot.
-                    let attempts = &mut scratch.tx_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
+            // --- Intents ----------------------------------------------
+            let attempts = &mut scratch.attempts;
+            attempts.clear();
+            for id in 0..scenario.n_nodes {
+                if !present[id as usize] {
+                    continue;
+                }
+                // Serve the intent from the SoA when the protocol predicted
+                // it. A cached intent is one the real call would return
+                // without consuming randomness, so skipping the call (and
+                // the oscillator read feeding its context) leaves every RNG
+                // stream untouched.
+                let intent = match soa.static_intent(id as usize) {
+                    Some(si) => {
+                        #[cfg(debug_assertions)]
+                        {
+                            let pos = proto_rngs[id as usize].stream_pos();
+                            let local = oscs[id as usize].local_us(t0);
+                            let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                            let real = nodes[id as usize].intent(&mut ctx);
+                            assert_eq!(real, si, "static intent diverged for node {id}");
+                            assert_eq!(
+                                proto_rngs[id as usize].stream_pos(),
+                                pos,
+                                "static intent consumed randomness for node {id}"
+                            );
                         }
-                        // Fast path: serve the intent from the SoA cache
-                        // when the protocol predicted it. A cached intent
-                        // is one the real call would return without
-                        // consuming randomness, so skipping the call (and
-                        // the oscillator read feeding its context) leaves
-                        // every RNG stream untouched.
-                        let intent = match soa.static_intent(id as usize).filter(|_| fastpath) {
-                            Some(si) => {
-                                #[cfg(debug_assertions)]
-                                {
-                                    let pos = proto_rngs[id as usize].stream_pos();
-                                    let local = oscs[id as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                    let real = nodes[id as usize].intent(&mut ctx);
-                                    assert_eq!(real, si, "static intent diverged for node {id}");
-                                    assert_eq!(
-                                        proto_rngs[id as usize].stream_pos(),
-                                        pos,
-                                        "static intent consumed randomness for node {id}"
-                                    );
-                                }
-                                si
-                            }
-                            None => {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].intent(&mut ctx)
-                            }
-                        };
-                        match intent {
-                            BeaconIntent::Silent => {}
-                            // Relaying is pointless when everyone already
-                            // hears the reference directly.
-                            BeaconIntent::RelayAfterRx(_) => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(TxAttempt { station: id, slot });
-                            }
-                            BeaconIntent::FixedSlot(slot) => {
-                                attempts.push(TxAttempt { station: id, slot });
-                            }
-                        }
+                        si
                     }
+                    None => {
+                        let local = oscs[id as usize].local_us(t0);
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                        nodes[id as usize].intent(&mut ctx)
+                    }
+                };
+                let (slot, relay) = match intent {
+                    BeaconIntent::Silent => continue,
+                    BeaconIntent::Contend => {
+                        (window.draw_slot(&mut backoff_rngs[id as usize]), false)
+                    }
+                    BeaconIntent::FixedSlot(slot) => (slot, false),
+                    BeaconIntent::RelayAfterRx(slot) if mesh.is_some() => (slot, true),
+                    // Relaying is pointless when everyone already hears the
+                    // reference directly.
+                    BeaconIntent::RelayAfterRx(_) => continue,
+                };
+                attempts.push(MhAttempt {
+                    station: id,
+                    slot,
+                    relay,
+                });
+            }
+            lap!(1);
 
-                    lap!(1);
-                    let mut outcome = channel.resolve_window(attempts);
-                    if hooked {
+            // --- Beacon generation window -----------------------------
+            // Each model decides the window, produces the beacons (recording
+            // each transmitter's payload and reception instant), gives
+            // transmit feedback, and lists the window's deliveries to
+            // present receivers in delivery order.
+            let rx = &mut scratch.rx;
+            rx.clear();
+            match mesh.as_mut() {
+                None => {
+                    // IBSS: the whole window is decided by the earliest
+                    // occupied slot.
+                    scratch.tx_attempts.clear();
+                    scratch
+                        .tx_attempts
+                        .extend(attempts.iter().map(|a| TxAttempt {
+                            station: a.station,
+                            slot: a.slot,
+                        }));
+                    let mut outcome = channel.resolve_window(&scratch.tx_attempts);
+                    if per_event {
                         // Replay seam: a schedule-driven hook substitutes
                         // the recorded outcome after cross-checking `live`.
                         if let Some(replayed) = hook.on_window(k, &outcome) {
                             outcome = replayed;
                         }
                     }
-                    match outcome {
+                    let failed = match outcome {
                         WindowOutcome::Silent => {
                             silent_windows += 1;
                             bp_counters.window_silent += 1;
+                            Vec::new()
                         }
                         WindowOutcome::Jammed { victims } => {
                             jammed_windows += 1;
                             bp_counters.window_jammed += 1;
-                            for id in victims {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_tx_outcome(&mut ctx, true);
-                            }
+                            victims
                         }
                         WindowOutcome::Collision { colliders, .. } => {
                             tx_collisions += 1;
                             bp_counters.window_collision += 1;
-                            for id in colliders {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_tx_outcome(&mut ctx, true);
-                            }
+                            colliders
                         }
                         WindowOutcome::Success { winner, slot } => {
                             tx_successes += 1;
                             bp_counters.window_success += 1;
                             bp_counters.beacon_tx += 1;
                             let t_tx = t0 + window.delay_of(slot);
-                            if hooked {
+                            if per_event {
                                 hook.on_beacon_tx(k, winner, t_tx);
-                            } else if passive {
+                            } else if batched {
                                 scratch.batch_txs.push(winner);
                             }
                             // Sub-µs hardware timestamping jitter.
                             let jitter =
                                 jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
                             let tx_local = oscs[winner as usize].local_us(t_tx) + jitter;
-                            let beacon = {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
-                                nodes[winner as usize].make_beacon(&mut ctx)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
-                                nodes[winner as usize].on_tx_outcome(&mut ctx, false);
-                            }
-                            let airtime = phy.beacon_airtime(beacon.is_secured());
-                            let t_rx = t_tx + airtime + phy.propagation();
-                            if fastpath {
-                                // Batched-draw receiver path: collect the
-                                // receiver set, take every channel-error
-                                // draw in one pass (identical stream
-                                // consumption — the jitter draws live on a
-                                // separate stream, so splitting the loop
-                                // cannot reorder either), then process the
-                                // survivors branch-lean: no hook checks,
-                                // no per-delivery observer state.
-                                let rx_ids = &mut scratch.rx_ids;
-                                rx_ids.clear();
-                                for id in 0..scenario.n_nodes {
-                                    if id != winner && present[id as usize] {
-                                        rx_ids.push(id);
-                                    }
-                                }
-                                bp_counters.rx_attempt += rx_ids.len() as u64;
-                                channel.deliver_batch(
-                                    &mut chan_rng,
-                                    rx_ids.len(),
-                                    &mut scratch.rx_fates,
-                                );
-                                for (&id, &fate) in rx_ids.iter().zip(scratch.rx_fates.iter()) {
-                                    if fate == Delivery::Lost {
-                                        bp_counters.rx_lost += 1;
-                                        continue;
-                                    }
-                                    bp_counters.rx_delivered += 1;
-                                    let rx_jitter =
-                                        jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                                    let local_rx = oscs[id as usize].local_us(t_rx) + rx_jitter;
-                                    // Passive capture reads the *virtual*
-                                    // clock: the SoA entry is refreshed only
-                                    // at BP end and can be stale mid-window.
-                                    let (clock_before, stats_before) = if passive {
-                                        (
-                                            nodes[id as usize].clock_us(local_rx),
-                                            nodes[id as usize].sstsp_stats(),
-                                        )
-                                    } else {
-                                        (0.0, None)
-                                    };
-                                    {
-                                        let mut ctx = node_ctx!(
-                                            proto_rngs,
-                                            &mut anchors,
-                                            &pcfg,
-                                            id,
-                                            local_rx
-                                        );
-                                        nodes[id as usize].on_beacon(
-                                            &mut ctx,
-                                            ReceivedBeacon {
-                                                payload: beacon,
-                                                local_rx_us: local_rx,
-                                            },
-                                        );
-                                    }
-                                    if passive {
-                                        scratch.batch_rxs.push(BatchRx {
-                                            src: winner,
-                                            dst: id,
-                                            t_rx,
-                                            clock_before_us: clock_before,
-                                            stats_before,
-                                            stats_after: nodes[id as usize].sstsp_stats(),
-                                        });
-                                    }
-                                }
-                            } else {
-                                for id in 0..scenario.n_nodes {
-                                    if id == winner || !present[id as usize] {
-                                        continue;
-                                    }
-                                    bp_counters.rx_attempt += 1;
-                                    if channel.deliver(&mut chan_rng) == Delivery::Lost {
-                                        bp_counters.rx_lost += 1;
-                                        continue;
-                                    }
-                                    // Each receiver processes its own copy: a
-                                    // corruption fault at one receiver models
-                                    // that receiver's demodulation errors, not
-                                    // a change to the transmitted frame.
-                                    let mut payload = beacon;
-                                    let dctx = DeliveryCtx {
-                                        bp: k,
-                                        src: winner,
-                                        dst: id,
-                                        t_rx,
-                                    };
-                                    if active
-                                        && hook.on_delivery(&dctx, &mut payload)
-                                            == DeliveryFate::Drop
-                                    {
-                                        bp_counters.rx_hook_dropped += 1;
-                                        continue;
-                                    }
-                                    bp_counters.rx_delivered += 1;
-                                    // Receiver-side timestamping noise: each
-                                    // station stamps the arrival with its own
-                                    // hardware path, contributing (with the
-                                    // sender-side jitter) the paper's receiver
-                                    // estimation error ε.
-                                    let rx_jitter =
-                                        jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                                    let local_rx = oscs[id as usize].local_us(t_rx) + rx_jitter;
-                                    let (clock_before, ref_before, stats_before) = if active {
-                                        (
-                                            nodes[id as usize].clock_us(local_rx),
-                                            nodes[id as usize].current_reference(),
-                                            nodes[id as usize].sstsp_stats(),
-                                        )
-                                    } else {
-                                        (0.0, None, None)
-                                    };
-                                    {
-                                        let mut ctx = node_ctx!(
-                                            proto_rngs,
-                                            &mut anchors,
-                                            &pcfg,
-                                            id,
-                                            local_rx
-                                        );
-                                        nodes[id as usize].on_beacon(
-                                            &mut ctx,
-                                            ReceivedBeacon {
-                                                payload,
-                                                local_rx_us: local_rx,
-                                            },
-                                        );
-                                    }
-                                    if active {
-                                        hook.post_delivery(&DeliveryObs {
-                                            ctx: dctx,
-                                            payload: &payload,
-                                            local_rx_us: local_rx,
-                                            clock_before_us: clock_before,
-                                            ref_before,
-                                            stats_before,
-                                            stats_after: nodes[id as usize].sstsp_stats(),
-                                            anchors: &anchors,
-                                        });
-                                    }
-                                }
-                            } // end of the plain (hook-capable) receiver loop
-                        }
-                    }
-                }
-                Some(topo) if mesh_resolver.is_some() => {
-                    // Mesh fast path: static intents served from the SoA,
-                    // per-domain window resolution over the domain-major
-                    // order with reusable buffers, and batched receiver
-                    // draws. Bit-identical to the plain multi-hop branch
-                    // below: static intents are exactly what the real
-                    // calls would return (debug-asserted), `MeshResolver`
-                    // is pinned output-identical to `resolve_mesh`, and
-                    // the split delivery passes preserve each RNG stream's
-                    // internal draw order (channel and jitter draws live
-                    // on separate streams).
-                    let resolver = mesh_resolver.as_mut().expect("guarded by arm");
-                    let attempts = &mut scratch.mh_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
-                        }
-                        let intent = match soa.static_intent(id as usize) {
-                            Some(si) => {
-                                #[cfg(debug_assertions)]
-                                {
-                                    let pos = proto_rngs[id as usize].stream_pos();
-                                    let local = oscs[id as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                    let real = nodes[id as usize].intent(&mut ctx);
-                                    assert_eq!(real, si, "static intent diverged for node {id}");
-                                    assert_eq!(
-                                        proto_rngs[id as usize].stream_pos(),
-                                        pos,
-                                        "static intent consumed randomness for node {id}"
-                                    );
-                                }
-                                si
-                            }
-                            None => {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].intent(&mut ctx)
-                            }
-                        };
-                        match intent {
-                            BeaconIntent::Silent => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(MhAttempt {
-                                    station: id,
-                                    slot,
-                                    relay: false,
-                                });
-                            }
-                            BeaconIntent::FixedSlot(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: false,
-                            }),
-                            BeaconIntent::RelayAfterRx(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: true,
-                            }),
-                        }
-                    }
-
-                    if channel.is_jammed() {
-                        jammed_windows += 1;
-                        bp_counters.window_jammed += 1;
-                        for a in attempts.iter() {
-                            if !a.relay {
-                                let local = oscs[a.station as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, a.station, local);
-                                nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
-                            }
-                        }
-                    } else if attempts.is_empty() {
-                        silent_windows += 1;
-                        bp_counters.window_silent += 1;
-                    } else {
-                        let airtime_slots = pcfg.beacon_airtime_slots;
-                        let out = resolver.resolve(topo, attempts, airtime_slots);
-
-                        // Beacons are produced at each transmitter's start
-                        // slot; deliveries happen one airtime later.
-                        scratch.payloads.fill(None);
-                        for &(station, slot) in &out.transmissions {
-                            let t_tx = t0 + window.delay_of(slot);
-                            bp_counters.beacon_tx += 1;
-                            if passive {
-                                scratch.batch_txs.push(station);
-                            }
-                            let jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
                             let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
-                            let payload = nodes[station as usize].make_beacon(&mut ctx);
-                            // Reception instant is per-transmitter, not
-                            // per-delivery: hoist it out of the receiver
-                            // loop (same integer-time expression the slow
-                            // path evaluates per delivery).
-                            scratch.t_rx_by_tx[station as usize] = t0
-                                + window.delay_of(slot)
-                                + phy.beacon_airtime(payload.is_secured())
-                                + phy.propagation();
-                            scratch.payloads[station as usize] = Some(payload);
+                                node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
+                            let beacon = nodes[winner as usize].make_beacon(&mut ctx);
+                            nodes[winner as usize].on_tx_outcome(&mut ctx, false);
+                            scratch.t_rx_by_tx[winner as usize] =
+                                t_tx + phy.beacon_airtime(beacon.is_secured()) + phy.propagation();
+                            scratch.payloads[winner as usize] = Some(beacon);
+                            rx.extend(
+                                (0..scenario.n_nodes)
+                                    .filter(|&id| id != winner && present[id as usize])
+                                    .map(|id| MhDelivery {
+                                        rx: id,
+                                        tx: winner,
+                                        slot,
+                                    }),
+                            );
+                            Vec::new()
                         }
-                        // Transmit feedback: a transmission that reached at
-                        // least one receiver counts as clean.
-                        scratch.reached.fill(false);
-                        for d in &out.deliveries {
-                            scratch.reached[d.tx as usize] = true;
-                        }
-                        for &(station, _) in &out.transmissions {
-                            let ok = scratch.reached[station as usize];
-                            if ok {
-                                tx_successes += 1;
-                                bp_counters.window_success += 1;
-                            } else {
-                                tx_collisions += 1;
-                                bp_counters.window_collision += 1;
-                            }
-                            let local = oscs[station as usize].local_us(t0);
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
-                            nodes[station as usize].on_tx_outcome(&mut ctx, !ok);
-                        }
-                        // Two-pass batched deliveries: filter the present
-                        // receivers (in delivery order), take every
-                        // channel-error draw in one pass, then run jitter
-                        // and protocol processing for the survivors only.
-                        let rx_del = &mut scratch.mh_rx;
-                        rx_del.clear();
-                        if all_present {
-                            rx_del.extend_from_slice(&out.deliveries);
-                        } else {
-                            for d in &out.deliveries {
-                                if present[d.rx as usize] {
-                                    rx_del.push(*d);
-                                }
-                            }
-                        }
-                        bp_counters.rx_attempt += rx_del.len() as u64;
-                        channel.deliver_batch(&mut chan_rng, rx_del.len(), &mut scratch.rx_fates);
-                        for (d, &fate) in rx_del.iter().zip(scratch.rx_fates.iter()) {
-                            if fate == Delivery::Lost {
-                                bp_counters.rx_lost += 1;
-                                continue;
-                            }
-                            bp_counters.rx_delivered += 1;
-                            let payload = scratch.payloads[d.tx as usize]
-                                .expect("every delivery has a transmitter");
-                            let t_rx = scratch.t_rx_by_tx[d.tx as usize];
-                            let rx_jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
-                            // Passive capture reads the *virtual* clock: the
-                            // SoA entry is refreshed only at BP end and can
-                            // be stale mid-window.
-                            let (clock_before, stats_before) = if passive {
-                                (
-                                    nodes[d.rx as usize].clock_us(local_rx),
-                                    nodes[d.rx as usize].sstsp_stats(),
-                                )
-                            } else {
-                                (0.0, None)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
-                                nodes[d.rx as usize].on_beacon(
-                                    &mut ctx,
-                                    ReceivedBeacon {
-                                        payload,
-                                        local_rx_us: local_rx,
-                                    },
-                                );
-                            }
-                            if passive {
-                                scratch.batch_rxs.push(BatchRx {
-                                    src: d.tx,
-                                    dst: d.rx,
-                                    t_rx,
-                                    clock_before_us: clock_before,
-                                    stats_before,
-                                    stats_after: nodes[d.rx as usize].sstsp_stats(),
-                                });
-                            }
-                        }
-                    }
-                }
-                Some(topo) => {
-                    // Multi-hop path: local carrier sense, hidden
-                    // terminals, spatial reuse, and in-window relaying.
-                    let attempts = &mut scratch.mh_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
-                        }
+                    };
+                    for id in failed {
                         let local = oscs[id as usize].local_us(t0);
                         let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        match nodes[id as usize].intent(&mut ctx) {
-                            BeaconIntent::Silent => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(MhAttempt {
-                                    station: id,
-                                    slot,
-                                    relay: false,
-                                });
-                            }
-                            BeaconIntent::FixedSlot(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: false,
-                            }),
-                            BeaconIntent::RelayAfterRx(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: true,
-                            }),
-                        }
+                        nodes[id as usize].on_tx_outcome(&mut ctx, true);
                     }
-
-                    if channel.is_jammed() {
-                        jammed_windows += 1;
-                        bp_counters.window_jammed += 1;
-                        for a in attempts.iter() {
-                            if !a.relay {
-                                let local = oscs[a.station as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, a.station, local);
-                                nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
-                            }
+                }
+                Some(_) if channel.is_jammed() => {
+                    jammed_windows += 1;
+                    bp_counters.window_jammed += 1;
+                    for a in attempts.iter().filter(|a| !a.relay) {
+                        let local = oscs[a.station as usize].local_us(t0);
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, a.station, local);
+                        nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
+                    }
+                }
+                Some(_) if attempts.is_empty() => {
+                    silent_windows += 1;
+                    bp_counters.window_silent += 1;
+                }
+                Some((topo, resolver)) => {
+                    // Local carrier sense, hidden terminals, spatial reuse
+                    // and in-window relaying, resolved per collision domain.
+                    let out = resolver.resolve(topo, attempts, pcfg.beacon_airtime_slots);
+                    // Beacons are produced at each transmitter's start
+                    // slot; deliveries happen one airtime later.
+                    for &(station, slot) in &out.transmissions {
+                        let t_tx = t0 + window.delay_of(slot);
+                        bp_counters.beacon_tx += 1;
+                        if per_event {
+                            hook.on_beacon_tx(k, station, t_tx);
+                        } else if batched {
+                            scratch.batch_txs.push(station);
                         }
-                    } else if attempts.is_empty() {
-                        silent_windows += 1;
-                        bp_counters.window_silent += 1;
+                        let jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
+                        let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
+                        let payload = nodes[station as usize].make_beacon(&mut ctx);
+                        scratch.t_rx_by_tx[station as usize] =
+                            t_tx + phy.beacon_airtime(payload.is_secured()) + phy.propagation();
+                        scratch.payloads[station as usize] = Some(payload);
+                    }
+                    // Transmit feedback: a transmission that reached at
+                    // least one receiver counts as clean.
+                    scratch.reached.fill(false);
+                    for d in &out.deliveries {
+                        scratch.reached[d.tx as usize] = true;
+                    }
+                    for &(station, _) in &out.transmissions {
+                        let ok = scratch.reached[station as usize];
+                        if ok {
+                            tx_successes += 1;
+                            bp_counters.window_success += 1;
+                        } else {
+                            tx_collisions += 1;
+                            bp_counters.window_collision += 1;
+                        }
+                        let local = oscs[station as usize].local_us(t0);
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
+                        nodes[station as usize].on_tx_outcome(&mut ctx, !ok);
+                    }
+                    // Deliveries in slot order (relays react next BP;
+                    // in-window relay chaining was already decided by the
+                    // resolution), to present receivers only.
+                    if all_present {
+                        rx.extend_from_slice(&out.deliveries);
                     } else {
-                        let airtime_slots = pcfg.beacon_airtime_slots;
-                        // With a collision-domain decomposition the window
-                        // resolves per domain; `resolve_mesh` is pinned
-                        // output-identical to the naive global resolution
-                        // (wireless mesh_props differential proptests), so
-                        // existing multi-hop goldens are unaffected.
-                        let out = match &domains {
-                            Some(d) => resolve_mesh(topo, d, attempts, airtime_slots),
-                            None => resolve_multihop(topo, attempts, airtime_slots),
-                        };
-
-                        // Beacons are produced at each transmitter's start
-                        // slot; deliveries happen one airtime later.
-                        scratch.payloads.fill(None);
-                        for &(station, slot) in &out.transmissions {
-                            let t_tx = t0 + window.delay_of(slot);
-                            bp_counters.beacon_tx += 1;
-                            if active {
-                                hook.on_beacon_tx(k, station, t_tx);
-                            }
-                            let jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
-                            scratch.payloads[station as usize] =
-                                Some(nodes[station as usize].make_beacon(&mut ctx));
-                        }
-                        // Transmit feedback: a transmission that reached at
-                        // least one receiver counts as clean.
-                        scratch.reached.fill(false);
-                        for d in &out.deliveries {
-                            scratch.reached[d.tx as usize] = true;
-                        }
-                        for &(station, _) in &out.transmissions {
-                            let ok = scratch.reached[station as usize];
-                            if ok {
-                                tx_successes += 1;
-                                bp_counters.window_success += 1;
-                            } else {
-                                tx_collisions += 1;
-                                bp_counters.window_collision += 1;
-                            }
-                            let local = oscs[station as usize].local_us(t0);
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
-                            nodes[station as usize].on_tx_outcome(&mut ctx, !ok);
-                        }
-                        // Deliveries, in slot order (relays react next BP;
-                        // in-window relay chaining was already decided by
-                        // the resolution).
-                        for d in &out.deliveries {
-                            if !present[d.rx as usize] {
-                                continue;
-                            }
-                            bp_counters.rx_attempt += 1;
-                            if channel.deliver(&mut chan_rng) == Delivery::Lost {
-                                bp_counters.rx_lost += 1;
-                                continue;
-                            }
-                            let mut payload = scratch.payloads[d.tx as usize]
-                                .expect("every delivery has a transmitter");
-                            // Airtime is that of the transmitted frame; a
-                            // hook corrupting the receiver's copy does not
-                            // change when the energy left the channel.
-                            let t_rx = t0
-                                + window.delay_of(d.slot)
-                                + phy.beacon_airtime(payload.is_secured())
-                                + phy.propagation();
-                            let dctx = DeliveryCtx {
-                                bp: k,
-                                src: d.tx,
-                                dst: d.rx,
-                                t_rx,
-                            };
-                            if active && hook.on_delivery(&dctx, &mut payload) == DeliveryFate::Drop
-                            {
-                                bp_counters.rx_hook_dropped += 1;
-                                continue;
-                            }
-                            bp_counters.rx_delivered += 1;
-                            let rx_jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
-                            let (clock_before, ref_before, stats_before) = if active {
-                                (
-                                    nodes[d.rx as usize].clock_us(local_rx),
-                                    nodes[d.rx as usize].current_reference(),
-                                    nodes[d.rx as usize].sstsp_stats(),
-                                )
-                            } else {
-                                (0.0, None, None)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
-                                nodes[d.rx as usize].on_beacon(
-                                    &mut ctx,
-                                    ReceivedBeacon {
-                                        payload,
-                                        local_rx_us: local_rx,
-                                    },
-                                );
-                            }
-                            if active {
-                                hook.post_delivery(&DeliveryObs {
-                                    ctx: dctx,
-                                    payload: &payload,
-                                    local_rx_us: local_rx,
-                                    clock_before_us: clock_before,
-                                    ref_before,
-                                    stats_before,
-                                    stats_after: nodes[d.rx as usize].sstsp_stats(),
-                                    anchors: &anchors,
-                                });
-                            }
-                        }
+                        rx.extend(out.deliveries.iter().filter(|d| present[d.rx as usize]));
                     }
+                }
+            }
+
+            // --- Receiver delivery ------------------------------------
+            // Every channel-error draw of the window in one batch, then
+            // jitter and protocol processing for the survivors. The two
+            // draws live on separate streams, so splitting the passes
+            // leaves each stream's draw order exactly as one interleaved
+            // pass would.
+            bp_counters.rx_attempt += rx.len() as u64;
+            channel.deliver_batch(&mut chan_rng, rx.len(), &mut scratch.rx_fates);
+            for (d, &fate) in rx.iter().zip(scratch.rx_fates.iter()) {
+                if fate == Delivery::Lost {
+                    bp_counters.rx_lost += 1;
+                    continue;
+                }
+                // A per-event hook sees each receiver's own copy: a
+                // corruption fault at one receiver models that receiver's
+                // demodulation errors, not a change to the transmitted frame
+                // — nor to when its energy left the channel.
+                let sent = scratch.payloads[d.tx as usize]
+                    .as_ref()
+                    .expect("every delivery has a transmitter");
+                let dctx = DeliveryCtx {
+                    bp: k,
+                    src: d.tx,
+                    dst: d.rx,
+                    t_rx: scratch.t_rx_by_tx[d.tx as usize],
+                };
+                let mut copy;
+                let payload = if per_event {
+                    copy = *sent;
+                    if hook.on_delivery(&dctx, &mut copy) == DeliveryFate::Drop {
+                        bp_counters.rx_hook_dropped += 1;
+                        continue;
+                    }
+                    &copy
+                } else {
+                    sent
+                };
+                bp_counters.rx_delivered += 1;
+                // Receiver-side timestamping noise: each station stamps the
+                // arrival with its own hardware path, contributing (with the
+                // sender-side jitter) the paper's receiver estimation error ε.
+                let rx_jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
+                let local_rx = oscs[d.rx as usize].local_us(dctx.t_rx) + rx_jitter;
+                // Hooks read the *virtual* clock: the SoA entry is refreshed
+                // only at BP end and can be stale mid-window.
+                let node = &mut nodes[d.rx as usize];
+                let (clock_before, ref_before, stats_before) = if active {
+                    (
+                        node.clock_us(local_rx),
+                        node.current_reference(),
+                        node.sstsp_stats(),
+                    )
+                } else {
+                    (0.0, None, None)
+                };
+                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
+                node.on_beacon(
+                    &mut ctx,
+                    ReceivedBeacon {
+                        payload: *payload,
+                        local_rx_us: local_rx,
+                    },
+                );
+                if per_event {
+                    hook.post_delivery(&DeliveryObs {
+                        ctx: dctx,
+                        payload,
+                        local_rx_us: local_rx,
+                        clock_before_us: clock_before,
+                        ref_before,
+                        stats_before,
+                        stats_after: node.sstsp_stats(),
+                        anchors: &anchors,
+                    });
+                } else if batched {
+                    scratch.batch_rxs.push(BatchRx {
+                        src: d.tx,
+                        dst: d.rx,
+                        t_rx: dctx.t_rx,
+                        clock_before_us: clock_before,
+                        stats_before,
+                        stats_after: node.sstsp_stats(),
+                    });
                 }
             }
 
             // --- End of BP --------------------------------------------
             lap!(2);
             let t_end = t0 + bp - SimDuration::from_us(1);
+            // Fused sweep: the final callback of the BP, the SoA snapshot,
+            // and the spread-metric clock read share one pass (and one
+            // oscillator evaluation per node). The snapshot keeps the SoA
+            // exact for this BP's metric read and the next BP's intent
+            // scan; any interim mutation — join, leave — refreshes at its
+            // own site.
             scratch.clocks.clear();
-            if fastpath {
-                // Fused sweep: the final callback of the BP, the SoA
-                // snapshot, and the spread-metric clock read share one
-                // pass (and one oscillator evaluation per node). The
-                // snapshot keeps the SoA exact for this BP's metric read
-                // and the next BP's intent scan; any interim mutation —
-                // join, leave — refreshes at its own site.
-                for id in 0..scenario.n_nodes {
-                    let i = id as usize;
-                    if !present[i] {
-                        continue;
-                    }
-                    let local = oscs[i].local_us(t_end);
-                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                    nodes[i].on_bp_end(&mut ctx);
-                    soa.refresh(i, &*nodes[i], &pcfg);
-                    if honest[i] && soa.synchronized(i) {
-                        let c = soa
-                            .clock_us(i, local)
-                            .unwrap_or_else(|| nodes[i].clock_us(local));
-                        debug_assert_eq!(
-                            c.to_bits(),
-                            nodes[i].clock_us(local).to_bits(),
-                            "SoA affine clock diverged for node {i}"
-                        );
-                        scratch.clocks.push(c);
-                    }
+            for id in 0..scenario.n_nodes {
+                let i = id as usize;
+                if !present[i] {
+                    continue;
                 }
-            } else {
-                for id in 0..scenario.n_nodes {
-                    if !present[id as usize] {
-                        continue;
-                    }
-                    let local = oscs[id as usize].local_us(t_end);
-                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                    nodes[id as usize].on_bp_end(&mut ctx);
-                }
-                for i in 0..scenario.n_nodes as usize {
-                    if present[i] && honest[i] && nodes[i].is_synchronized() {
-                        scratch
-                            .clocks
-                            .push(nodes[i].clock_us(oscs[i].local_us(t_end)));
-                    }
+                let local = oscs[i].local_us(t_end);
+                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                nodes[i].on_bp_end(&mut ctx);
+                soa.refresh(i, &*nodes[i], &pcfg);
+                if honest[i] && soa.synchronized(i) {
+                    let c = soa
+                        .clock_us(i, local)
+                        .unwrap_or_else(|| nodes[i].clock_us(local));
+                    debug_assert_eq!(
+                        c.to_bits(),
+                        nodes[i].clock_us(local).to_bits(),
+                        "SoA affine clock diverged for node {i}"
+                    );
+                    scratch.clocks.push(c);
                 }
             }
 
@@ -1492,13 +1107,8 @@ impl Network {
             }
 
             lap!(4);
-            let current_ref = if fastpath {
-                (0..scenario.n_nodes)
-                    .find(|&id| present[id as usize] && soa.is_reference(id as usize))
-            } else {
-                (0..scenario.n_nodes)
-                    .find(|&id| present[id as usize] && nodes[id as usize].is_reference())
-            };
+            let current_ref = (0..scenario.n_nodes)
+                .find(|&id| present[id as usize] && soa.is_reference(id as usize));
             if current_ref != last_reference {
                 if current_ref.is_some() {
                     reference_changes += 1;
@@ -1517,15 +1127,7 @@ impl Network {
                 // An internal adversary acts as a *de facto* reference when
                 // the honest stations follow its beacons.
                 let followers = (0..scenario.n_nodes as usize)
-                    .filter(|&i| {
-                        present[i]
-                            && honest[i]
-                            && if fastpath {
-                                soa.current_reference(i) == Some(atk)
-                            } else {
-                                nodes[i].current_reference() == Some(atk)
-                            }
-                    })
+                    .filter(|&i| present[i] && honest[i] && soa.current_reference(i) == Some(atk))
                     .count();
                 let honest_present = (0..scenario.n_nodes as usize)
                     .filter(|&i| present[i] && honest[i])
@@ -1535,7 +1137,7 @@ impl Network {
                 }
             }
 
-            if hooked {
+            if per_event {
                 snapshots.clear();
                 for i in 0..scenario.n_nodes as usize {
                     snapshots.push(NodeSnapshot {
@@ -1555,13 +1157,12 @@ impl Network {
                     reference: current_ref,
                     disturbed,
                 });
-            } else if passive {
-                // Batched dispatch for fast-path-safe hooks: one callback
-                // per BP carrying everything the per-event slow path would
-                // have reported. The SoA was refreshed by the fused sweep
-                // above, so the per-domain reference scan and the spread
-                // (min/max over the same qualifying clock set the slow
-                // path's `view_spread_us` uses) read end-of-BP state.
+            } else if batched {
+                // One callback per BP carrying everything the per-event
+                // dispatch would have reported. The SoA was refreshed by
+                // the fused sweep above, so the per-domain reference scan
+                // and the spread (min/max over the same qualifying clock
+                // set `BpView` snapshots yield) read end-of-BP state.
                 let domain_refs: Option<&[Option<NodeId>]> = if let Some(d) = &domains {
                     scratch.domain_refs.clear();
                     for members in &d.domains {

@@ -176,24 +176,24 @@ pub struct BpView<'a> {
     pub disturbed: bool,
 }
 
-/// What an active hook promises the engine, letting it pick the fastest
-/// execution path that still honors the hook's observation needs.
+/// What an active hook promises the engine, letting it pick how the hook
+/// is dispatched. The engine runs the same loop either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HookCaps {
-    /// The hook is a *passive observer* that can be fed from the fast
-    /// path's batched end-of-BP callback ([`EngineHook::on_bp_batch`])
-    /// instead of per-event dispatch. A fast-path-safe hook must not rely
-    /// on `on_bp_start` (it never injects [`FaultAction`]s), `on_window`,
-    /// `on_delivery` (it never mutates or drops payloads), `post_delivery`,
-    /// or `on_bp_end` — on the fast path none of those are called. It still
-    /// receives `on_run_start`, `on_beacon_tx`-equivalent data inside each
-    /// batch, and `on_run_end`.
+    /// Selects batched dispatch: the hook is a *passive observer* fed one
+    /// end-of-BP callback ([`EngineHook::on_bp_batch`]) instead of
+    /// per-event calls. Such a hook must not rely on `on_bp_start` (it
+    /// never injects [`FaultAction`]s), `on_window`, `on_delivery` (it
+    /// never mutates or drops payloads), `post_delivery`, `on_beacon_tx` or
+    /// `on_bp_end` — under batched dispatch none of those are called. It
+    /// still receives `on_run_start`, the transmissions and deliveries
+    /// inside each batch, and `on_run_end`.
     pub fastpath_safe: bool,
 }
 
-/// One beacon reception as captured by the fast path for a batched hook:
-/// the per-receiver identification plus the protocol-state deltas the slow
-/// path would have exposed through [`DeliveryObs`].
+/// One beacon reception as captured for a batched hook: the per-receiver
+/// identification plus the protocol-state deltas per-event dispatch
+/// exposes through [`DeliveryObs`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRx {
     /// Transmitting station.
@@ -212,10 +212,10 @@ pub struct BatchRx {
     pub stats_after: Option<SstspStats>,
 }
 
-/// Everything a beacon period produced, handed to fast-path-safe hooks in
-/// one end-of-BP callback. Transmissions are in slot order and receptions
-/// in delivery order — exactly the order the slow path would have emitted
-/// the corresponding per-event callbacks.
+/// Everything a beacon period produced, handed to batched hooks in one
+/// end-of-BP callback. Transmissions are in slot order and receptions in
+/// delivery order — exactly the order per-event dispatch emits the
+/// corresponding callbacks.
 pub struct BpBatch<'a> {
     /// Beacon period index (1-based).
     pub bp: u64,
@@ -243,8 +243,8 @@ pub struct BpBatch<'a> {
 /// All methods have no-op defaults; implementors override what they need.
 /// The engine calls them in a fixed order per BP: `on_bp_start` (collect
 /// fault actions) → `on_delivery`/`post_delivery` per beacon delivery →
-/// `on_bp_end` after metrics. Hooks declaring themselves fast-path-safe
-/// via [`EngineHook::capabilities`] instead receive one [`BpBatch`] per BP
+/// `on_bp_end` after metrics. Hooks selecting batched dispatch via
+/// [`EngineHook::capabilities`] instead receive one [`BpBatch`] per BP
 /// through [`EngineHook::on_bp_batch`].
 pub trait EngineHook {
     /// Whether the hook wants per-delivery observations and BP views. The
@@ -255,16 +255,16 @@ pub trait EngineHook {
     }
 
     /// What this hook promises the engine. The default (no capabilities)
-    /// keeps an active hook on the fully-instrumented slow path; passive
-    /// observers override this to stay on the fast path.
+    /// gives an active hook the full per-event callbacks; passive observers
+    /// override this to be fed batches.
     fn capabilities(&self) -> HookCaps {
         HookCaps::default()
     }
 
-    /// Called at the end of each BP on the fast path when
+    /// Called at the end of each BP when
     /// [`capabilities`](EngineHook::capabilities) declared
     /// `fastpath_safe`. Replaces the per-event callbacks for passive
-    /// observers; never called on the slow path.
+    /// observers; never called under per-event dispatch.
     fn on_bp_batch(&mut self, _batch: &BpBatch<'_>) {}
 
     /// Called once after node initiation (anchors published), before BP 1.

@@ -249,9 +249,8 @@ impl InvariantChecker {
 }
 
 impl EngineHook for InvariantChecker {
-    // Not fast-path-safe: the checker audits each delivery's payload and
-    // before/after stats via `post_delivery`, which only the per-event
-    // slow path computes.
+    // Per-event dispatch: the checker audits each delivery's payload and
+    // before/after stats via `post_delivery`, which batches do not carry.
     fn capabilities(&self) -> HookCaps {
         HookCaps {
             fastpath_safe: false,

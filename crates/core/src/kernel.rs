@@ -1,11 +1,10 @@
-//! Large-n fast-path kernel: dense node state and the quiescent-BP
-//! timeline.
+//! Engine caches: dense node state and the quiescent-BP timeline.
 //!
-//! The engine's default per-BP loop reaches every station through a
-//! `Box<dyn SyncProtocol>` — fine at the paper's n = 30, but at n = 1000+
-//! the virtual dispatch and scattered node structs dominate the beacon
-//! period. This module holds the two data structures the fast path uses to
-//! avoid that work without changing a single observable bit:
+//! The engine reaches every station through a `Box<dyn SyncProtocol>` —
+//! fine at the paper's n = 30, but at n = 1000+ the virtual dispatch and
+//! scattered node structs dominate the beacon period. This module holds
+//! the two data structures the engine loop uses to avoid that work without
+//! changing a single observable bit:
 //!
 //! * [`NodeSoa`] — a structure-of-arrays mirror of each node's
 //!   [`HotState`](protocols::api::HotState): adjusted-clock `(k, b)`
@@ -17,15 +16,14 @@
 //!   with linear passes over these vectors.
 //! * [`BpTimeline`] — a precomputed per-BP "anything scheduled?" bitmap
 //!   over churn departures, reference departures, jamming windows and
-//!   attacker activity. On a quiescent BP (nothing scheduled, no rejoin
-//!   due, hook inactive) the engine skips the scenario-event scans
-//!   entirely and runs only the slimmed hot loop, falling back to the
-//!   exact full loop at the first interesting BP.
+//!   attacker and campaign activity. On a quiescent BP (nothing scheduled,
+//!   no rejoin due, no fault injected by the hook and no fault jam
+//!   latched) the engine skips the scenario-event scans entirely.
 //!
 //! Both structures are pure caches: every value they hold must equal what
-//! the corresponding trait call would return at the instant of use, and
-//! the engine cross-checks that in debug builds. Disabling the fast path
-//! (`SSTSP_NO_FASTPATH=1`) removes every read of this module from the run.
+//! the corresponding trait call or event scan would produce at the instant
+//! of use. The engine cross-checks the node cache in debug builds, and the
+//! frozen digests of `crates/faults/tests/engine_goldens.rs` pin both.
 
 use protocols::api::{BeaconIntent, HotState, NodeId, ProtocolConfig, SyncProtocol};
 use simcore::{SimDuration, SimTime};

@@ -6,17 +6,19 @@
 //! * [`scenario`] — declarative scenario configuration (protocol, network
 //!   size, churn, reference departures, attacker, seeds) with constructors
 //!   matching each of the paper's experiments;
-//! * [`engine`] — the network simulation engine: drives every node through
-//!   beacon periods on the shared single-collision-domain channel, applies
-//!   churn and attacks, and records the maximum-clock-difference series;
+//! * [`engine`] — the network simulation engine: one loop drives every
+//!   node through beacon periods, on the shared single-collision-domain
+//!   channel or per collision domain of a multi-hop topology, applies
+//!   churn, attacks and hook faults, and records the
+//!   maximum-clock-difference series;
 //! * [`instrument`] — the engine hook surface: fault-injection layers and
 //!   invariant checkers attach to runs without perturbing them;
 //! * [`invariants`] — the protocol invariant checker evaluated every beacon
 //!   period (clock monotonicity, guard influence bound, µTESLA key
 //!   freshness, synced-set spread bound);
-//! * [`kernel`] — the large-n fast-path kernel: dense structure-of-arrays
-//!   node state and the quiescent-BP timeline (bit-identical to the plain
-//!   loop; disable with `SSTSP_NO_FASTPATH=1`);
+//! * [`kernel`] — the engine's caches: dense structure-of-arrays node
+//!   state and the quiescent-BP timeline (every value equals what the
+//!   trait calls and event scans would produce);
 //! * [`experiments`] — one module per table/figure of the paper, each
 //!   producing the exact rows/series the paper reports;
 //! * [`sweep`] — rayon-parallel seed and parameter sweeps (deterministic

@@ -98,7 +98,7 @@ impl AttackerSpec {
 }
 
 /// Topology for the multi-hop extension. `None` = the paper's single-hop
-/// IBSS (full connectivity, fast-path channel model).
+/// IBSS (full connectivity, single-window channel model).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub enum TopologySpec {
     /// A path of stations: worst case for per-hop error accumulation.

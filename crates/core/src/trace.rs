@@ -123,8 +123,8 @@ impl TraceRecorder {
 }
 
 impl EngineHook for TraceRecorder {
-    /// The recorder is a pure observer, so it rides the fast path and is
-    /// fed per-BP batches instead of per-event callbacks.
+    /// The recorder is a pure observer, so it is fed per-BP batches
+    /// instead of per-event callbacks.
     fn capabilities(&self) -> HookCaps {
         HookCaps {
             fastpath_safe: true,
@@ -214,11 +214,11 @@ impl EngineHook for TraceRecorder {
         });
     }
 
-    /// Fast-path feed: replay one BP's batch into the exact event sequence
+    /// Batched feed: replay one BP's batch into the exact event sequence
     /// the per-event callbacks would have produced — transmissions in slot
     /// order, receptions in delivery order, then domain/global reference
-    /// diffs, then the BP summary. `fastpath_equivalence` pins recorded
-    /// traces identical across the two paths.
+    /// diffs, then the BP summary. `engine_goldens` pins the recorded
+    /// traces, and the fault harness records the same streams per event.
     fn on_bp_batch(&mut self, batch: &BpBatch<'_>) {
         for &src in batch.txs {
             self.events.push(TraceEvent::BeaconTx { bp: batch.bp, src });

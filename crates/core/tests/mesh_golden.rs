@@ -68,12 +68,8 @@ const GOLDEN_ELECTIONS: [(u64, u32, Option<u32>, Option<u32>); 2] = [
 ];
 
 /// Telemetry pins for the domain-election machinery: (counter, total).
-/// `engine.path.fast == 1` proves the bridged mesh rides the per-domain
-/// fast path even with the (fast-path-safe) `TraceRecorder` attached.
 #[rustfmt::skip]
-const GOLDEN_COUNTERS: [(&str, u64); 4] = [
-    ("engine.path.fast", 1),
-    ("engine.path.slow", 0),
+const GOLDEN_COUNTERS: [(&str, u64); 2] = [
     ("sstsp.subordinate", 1),
     ("sstsp.sovereign_revert", 0),
 ];
@@ -207,12 +203,7 @@ fn print_mesh_goldens() {
         }
     }
     println!("GOLDEN_COUNTERS:");
-    for key in [
-        "engine.path.fast",
-        "engine.path.slow",
-        "sstsp.subordinate",
-        "sstsp.sovereign_revert",
-    ] {
+    for key in ["sstsp.subordinate", "sstsp.sovereign_revert"] {
         println!("    ({key:?}, {}),", snap.counter(key));
     }
 }

@@ -82,10 +82,9 @@ impl FaultHarness {
 }
 
 impl EngineHook for FaultHarness {
-    // Deliberately NOT fast-path-safe: the harness injects faults at BP
-    // start and rewrites/drops payloads per delivery, so it needs the
-    // engine's full per-event slow path. Spelled out so a future default
-    // change cannot silently put fault runs on the fast path.
+    // Deliberately per-event dispatch: the harness injects faults at BP
+    // start and rewrites/drops payloads per delivery. Spelled out so a
+    // future default change cannot silently feed fault runs batches.
     fn capabilities(&self) -> HookCaps {
         HookCaps {
             fastpath_safe: false,
@@ -267,9 +266,8 @@ impl TracedHarness {
 }
 
 impl EngineHook for TracedHarness {
-    // Not fast-path-safe: inherits the inner harness's need for per-event
-    // fault injection, and the recorded trace doubles as the replay
-    // golden, which pins the slow path's exact event stream.
+    // Per-event dispatch: inherits the inner harness's need for per-event
+    // fault injection.
     fn capabilities(&self) -> HookCaps {
         HookCaps {
             fastpath_safe: false,

@@ -230,9 +230,7 @@ fn render_window(outcome: &WindowOutcome) -> String {
 /// The replay hook: the same fault execution + trace recording as a
 /// recording run ([`crate::run_case_traced`]), plus the window override
 /// seam that substitutes the recorded beacon schedule after cross-checking
-/// the live outcome against it. The hook is always active, so a replay
-/// takes the engine's instrumented slow path by construction — visible as
-/// `engine.path.slow` in the telemetry snapshot.
+/// the live outcome against it.
 struct ReplayHook<'a> {
     inner: TracedHarness,
     schedule: &'a RecordedSchedule,
@@ -240,9 +238,8 @@ struct ReplayHook<'a> {
 }
 
 impl EngineHook for ReplayHook<'_> {
-    // Not fast-path-safe: replay substitutes recorded window outcomes via
-    // `on_window`, a seam only the per-event slow path offers — and the
-    // divergence check needs the event-for-event trace it produces.
+    // Per-event dispatch: replay substitutes recorded window outcomes via
+    // `on_window`, a seam batched dispatch does not offer.
     fn capabilities(&self) -> HookCaps {
         HookCaps {
             fastpath_safe: false,

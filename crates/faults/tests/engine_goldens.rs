@@ -8,9 +8,8 @@
 //!   round-trip exact, so equal text means equal bits),
 //! * invariant violations and replay divergences, when the fixture has them,
 //! * the trace JSONL bytes, when the fixture records a trace,
-//! * the telemetry snapshot of the run's own recording session: counters
-//!   (minus the `engine.path.*` loop markers), gauges and full distribution
-//!   bins.
+//! * the telemetry snapshot of the run's own recording session: counters,
+//!   gauges and full distribution bins.
 //!
 //! The fixtures span every way the engine loop is driven: the golden
 //! scenario shapes for all seven protocols, the large-n regime, every mesh
@@ -85,13 +84,7 @@ impl Digest {
 
     fn telemetry(&mut self, snap: &telemetry::Snapshot) {
         let mut text = String::new();
-        // The fast/slow path markers are the one intended difference
-        // between the two engine loops these digests were frozen from.
-        for (k, v) in snap
-            .counters
-            .iter()
-            .filter(|(k, _)| !k.starts_with("engine.path."))
-        {
+        for (k, v) in &snap.counters {
             text.push_str(&format!("counter {k}={v}\n"));
         }
         for (k, v) in &snap.gauges {

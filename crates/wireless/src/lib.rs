@@ -20,7 +20,9 @@
 //!
 //! The multi-hop extension (the paper's future work) lives in
 //! [`topology`] (connectivity graphs) and [`multihop`] (window resolution
-//! with local carrier sense, hidden terminals and spatial reuse).
+//! with local carrier sense, hidden terminals and spatial reuse:
+//! [`resolve_multihop`] states the rules, [`MeshResolver`] is the
+//! per-collision-domain implementation the engine runs).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,8 +33,6 @@ pub mod phy;
 pub mod topology;
 
 pub use channel::{Channel, Delivery, TxAttempt, WindowOutcome};
-pub use multihop::{
-    resolve_mesh, resolve_multihop, MeshResolver, MhAttempt, MhDelivery, MhOutcome,
-};
+pub use multihop::{resolve_multihop, MeshResolver, MhAttempt, MhDelivery, MhOutcome};
 pub use phy::{PhyParams, FRAME_OVERHEAD_SSTSP, FRAME_OVERHEAD_TSF};
 pub use topology::{DomainDecomposition, DomainOrder, Topology};

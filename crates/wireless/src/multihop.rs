@@ -15,6 +15,11 @@
 //!
 //! With the full graph this resolution degenerates exactly to the
 //! single-hop rules (verified by a test below).
+//!
+//! [`resolve_multihop`] states the rules directly (an O(n²) scan that
+//! allocates per call) and is the reference the tests pin against;
+//! [`MeshResolver`] is the per-collision-domain implementation the engine
+//! runs every beacon period.
 
 use crate::topology::{DomainDecomposition, DomainOrder, Topology};
 use serde::{Deserialize, Serialize};
@@ -152,101 +157,26 @@ fn deliveries_for_rx(
     }
 }
 
-/// Resolve one beacon window per collision domain.
+/// Allocation-free per-domain window resolver: the rules of
+/// [`resolve_multihop`], with the work bucketed by a collision-domain
+/// decomposition and every buffer reused across windows.
 ///
-/// Same decision rules as [`resolve_multihop`], but the work is bucketed
-/// by `decomp`: each decided transmission is published only into the
-/// domains that can hear it (the transmitter's own domain plus every
-/// domain holding one of its neighbors), the carrier-sense checks for a
-/// station consult only its home domain's bucket, and rule 3 runs per
-/// domain over that domain's members against its bucket. Because every
-/// predicate in [`resolve_multihop`] is gated on `are_neighbors`, and a
-/// station's home bucket contains every decided transmission of its
-/// neighbors (a neighbor `u` of `s` always publishes into
-/// `domain_of(s)`), the outcome is **bit-identical to
+/// Each decided transmission is published only into the domains that can
+/// hear it (the transmitter's own domain plus every domain holding one of
+/// its neighbors; these audible-domain sets are invariant over a run and
+/// precomputed once), the carrier-sense checks for a station consult only
+/// its home domain's bucket, and rule 3 runs per domain over that domain's
+/// members against its bucket. Every predicate in [`resolve_multihop`] is
+/// gated on `are_neighbors`, and a station's home bucket contains every
+/// decided transmission of its neighbors (a neighbor `u` of `s` always
+/// publishes into `domain_of(s)`), so the outcome is **bit-identical to
 /// [`resolve_multihop`] for any partition** — the decomposition only
-/// shrinks the candidate sets, never the audible ones. A differential
-/// proptest pins this.
-///
-/// # Panics
-/// Panics if `decomp` does not cover exactly `topology.len()` stations.
-pub fn resolve_mesh(
-    topology: &Topology,
-    decomp: &DomainDecomposition,
-    attempts: &[MhAttempt],
-    airtime_slots: u32,
-) -> MhOutcome {
-    assert!(airtime_slots > 0, "beacons occupy at least one slot");
-    assert_eq!(
-        decomp.domain_of.len(),
-        topology.len() as usize,
-        "decomposition does not match the topology"
-    );
-    let mut sorted: Vec<MhAttempt> = attempts.to_vec();
-    sorted.sort_by_key(|a| (a.slot, a.station));
-
-    // Global decision order (the output), plus the per-domain audible
-    // buckets the decisions and deliveries actually consult.
-    let mut txs: Vec<(u32, u32)> = Vec::new();
-    let mut by_domain: Vec<Vec<(u32, u32)>> = vec![Vec::new(); decomp.len()];
-    let mut doms_scratch: Vec<u32> = Vec::new();
-
-    for a in &sorted {
-        let home = &by_domain[decomp.domain_of(a.station) as usize];
-        let blocked = if a.relay {
-            home.iter().any(|&(u, s)| {
-                topology.are_neighbors(a.station, u) && s <= a.slot && a.slot < s + airtime_slots
-            })
-        } else {
-            home.iter()
-                .any(|&(u, s)| s < a.slot && topology.are_neighbors(a.station, u))
-        };
-        if blocked {
-            continue;
-        }
-        txs.push((a.station, a.slot));
-        doms_scratch.clear();
-        doms_scratch.push(decomp.domain_of(a.station));
-        doms_scratch.extend(
-            topology
-                .neighbors(a.station)
-                .iter()
-                .map(|&v| decomp.domain_of(v)),
-        );
-        doms_scratch.sort_unstable();
-        doms_scratch.dedup();
-        for &d in &doms_scratch {
-            by_domain[d as usize].push((a.station, a.slot));
-        }
-    }
-
-    let mut deliveries = Vec::new();
-    for (d, members) in decomp.domains.iter().enumerate() {
-        let local = &by_domain[d];
-        for &rx in members {
-            deliveries_for_rx(topology, rx, local, airtime_slots, &mut deliveries);
-        }
-    }
-    deliveries.sort_by_key(|d| (d.slot, d.rx));
-
-    MhOutcome {
-        transmissions: txs,
-        deliveries,
-    }
-}
-
-/// Allocation-free per-domain window resolver: [`resolve_mesh`] with every
-/// buffer reused across windows and the per-transmission audible-domain
-/// sets (home domain + neighbors' domains, sorted and deduped — invariant
-/// over a run) precomputed once. Decision rules, orders, and outputs are
-/// **bit-identical to [`resolve_mesh`]** — differential tests pin this —
-/// so the engine's fast path can call it every beacon period without
-/// perturbing goldens or allocating.
+/// shrinks the candidate sets, never the audible ones. Differential
+/// proptests pin this, fresh and across reused windows.
 ///
 /// Deliveries are produced domain-by-domain over the contiguous ranges of
-/// a domain-major [`DomainOrder`] (members ascending within a domain,
-/// identical to the decomposition's member lists, so the output order
-/// matches [`resolve_mesh`] exactly).
+/// a domain-major [`DomainOrder`] (members ascending within a domain) and
+/// then merged into `(slot, rx)` order.
 pub struct MeshResolver {
     order: DomainOrder,
     /// Station id → home-domain index.
@@ -264,8 +194,8 @@ pub struct MeshResolver {
     /// Deliveries bucketed by slot during generation (grown lazily to the
     /// highest slot seen, reused across windows). Concatenating the
     /// buckets in slot order after a stable per-bucket sort by receiver
-    /// reproduces `resolve_mesh`'s stable `(slot, rx)` sort at a fraction
-    /// of the cost: each bucket is a concatenation of per-domain
+    /// reproduces `resolve_multihop`'s stable `(slot, rx)` sort at a
+    /// fraction of the cost: each bucket is a concatenation of per-domain
     /// receiver-ascending runs, which the adaptive stable sort merges in
     /// near-linear time.
     per_slot: Vec<Vec<MhDelivery>>,
@@ -627,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn mesh_resolution_matches_global_on_bridged_graph() {
+    fn mesh_resolver_matches_global_on_bridged_graph() {
         let (t, d) = Topology::bridged(2, 3, 2);
         let attempts = [
             plain(0, 0),
@@ -637,84 +567,9 @@ mod tests {
             plain(11, 16),
         ];
         let global = resolve_multihop(&t, &attempts, A);
-        let mesh = resolve_mesh(&t, &d, &attempts, A);
-        assert_eq!(global, mesh);
+        assert_eq!(MeshResolver::new(&t, &d).resolve(&t, &attempts, A), &global);
         // Both islands transmit in parallel: spatial reuse across domains.
         assert!(global.transmissions.contains(&(0, 0)));
         assert!(global.transmissions.contains(&(7, 0)));
-    }
-
-    #[test]
-    fn mesh_resolver_matches_resolve_mesh_across_reused_windows() {
-        // One resolver, many windows with different attempt mixes: every
-        // outcome must be bit-identical to a fresh resolve_mesh call
-        // (proving the scratch buffers fully reset between windows).
-        let (t, d) = Topology::bridged(3, 3, 2);
-        let mut r = MeshResolver::new(&t, &d);
-        let windows: [&[MhAttempt]; 5] = [
-            &[plain(0, 0), plain(7, 0), relay(18, 8), plain(3, 5)],
-            &[],
-            &[
-                plain(2, 2),
-                plain(9, 2),
-                plain(16, 2),
-                relay(19, 10),
-                relay(18, 10),
-            ],
-            &[plain(0, 0)],
-            &[
-                relay(18, 0),
-                relay(19, 0),
-                plain(5, 3),
-                plain(12, 3),
-                plain(17, 16),
-            ],
-        ];
-        for attempts in windows {
-            assert_eq!(
-                r.resolve(&t, attempts, A),
-                &resolve_mesh(&t, &d, attempts, A)
-            );
-        }
-    }
-
-    #[test]
-    fn mesh_resolver_matches_on_awkward_partitions() {
-        // Same partition-independence property resolve_mesh has.
-        let t = Topology::grid(3, 3);
-        let attempts = [plain(0, 0), plain(8, 0), relay(4, 9), plain(2, 3)];
-        for decomp in [
-            crate::topology::DomainDecomposition::from_partition(
-                (0..9).map(|i| vec![i]).collect(),
-                &t,
-            ),
-            crate::topology::DomainDecomposition::from_partition(vec![(0..9).collect()], &t),
-            t.clique_domains(),
-        ] {
-            let mut r = MeshResolver::new(&t, &decomp);
-            assert_eq!(
-                r.resolve(&t, &attempts, A),
-                &resolve_mesh(&t, &decomp, &attempts, A)
-            );
-        }
-    }
-
-    #[test]
-    fn mesh_resolution_is_partition_independent() {
-        // Any partition — even a deliberately bad one that splits cliques —
-        // must produce the identical outcome.
-        let t = Topology::grid(3, 3);
-        let attempts = [plain(0, 0), plain(8, 0), relay(4, 9), plain(2, 3)];
-        let global = resolve_multihop(&t, &attempts, A);
-        let per_node = crate::topology::DomainDecomposition::from_partition(
-            (0..9).map(|i| vec![i]).collect(),
-            &t,
-        );
-        let one_domain =
-            crate::topology::DomainDecomposition::from_partition(vec![(0..9).collect()], &t);
-        let cliques = t.clique_domains();
-        assert_eq!(resolve_mesh(&t, &per_node, &attempts, A), global);
-        assert_eq!(resolve_mesh(&t, &one_domain, &attempts, A), global);
-        assert_eq!(resolve_mesh(&t, &cliques, &attempts, A), global);
     }
 }

@@ -398,7 +398,7 @@ impl DomainDecomposition {
 /// Domain-major index permutation over a [`DomainDecomposition`]: every
 /// station id, laid out so each domain's members occupy one contiguous
 /// range (members ascending within a domain, domains in decomposition
-/// order). Engine fast paths iterate per-domain state as contiguous
+/// order). The mesh resolver iterates per-domain state as contiguous
 /// slices through this order instead of chasing `domain_of` lookups, and
 /// [`pos_of`](Self::pos_of) inverts the permutation exactly — a proptest
 /// pins the round-trip for arbitrary decompositions.

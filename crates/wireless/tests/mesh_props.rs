@@ -1,13 +1,12 @@
 //! Property tests for the mesh-topology layer: generator invariants,
 //! seeded reproducibility, domain-decomposition coverage, and the
-//! differential pin `resolve_mesh == resolve_multihop`.
+//! differential pin `MeshResolver == resolve_multihop` for any partition.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use wireless::{
-    resolve_mesh, resolve_multihop, DomainDecomposition, DomainOrder, MeshResolver, MhAttempt,
-    Topology,
+    resolve_multihop, DomainDecomposition, DomainOrder, MeshResolver, MhAttempt, Topology,
 };
 
 /// Symmetric (j ∈ adj(i) ⇔ i ∈ adj(j)) and irreflexive (i ∉ adj(i)).
@@ -19,6 +18,47 @@ fn assert_symmetric_irreflexive(t: &Topology) {
             prop_assert!(t.are_neighbors(j, i), "asymmetric edge {i}-{j}");
         }
     }
+}
+
+/// Every partition family the resolver must be indifferent to: the
+/// clique decomposition, one domain per station, one domain for all, and
+/// an arbitrary grouping by `labels[i]` (empty groups dropped).
+fn partitions(t: &Topology, labels: &[u32]) -> Vec<(&'static str, DomainDecomposition)> {
+    let n = t.len();
+    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); 6];
+    for i in 0..n {
+        groups[labels[i as usize] as usize].push(i);
+    }
+    groups.retain(|g| !g.is_empty());
+    vec![
+        ("cliques", t.clique_domains()),
+        (
+            "per-node",
+            DomainDecomposition::from_partition((0..n).map(|i| vec![i]).collect(), t),
+        ),
+        (
+            "single",
+            DomainDecomposition::from_partition(vec![(0..n).collect()], t),
+        ),
+        ("random", DomainDecomposition::from_partition(groups, t)),
+    ]
+}
+
+/// Attempts from raw `(station, slot, relay)` draws: stations in range,
+/// at most one attempt each.
+fn attempts_from(raw: Vec<(u32, u32, bool)>, n: u32) -> Vec<MhAttempt> {
+    let mut attempts: Vec<MhAttempt> = raw
+        .into_iter()
+        .filter(|&(station, _, _)| station < n)
+        .map(|(station, slot, relay)| MhAttempt {
+            station,
+            slot,
+            relay,
+        })
+        .collect();
+    attempts.sort_by_key(|a| a.station);
+    attempts.dedup_by_key(|a| a.station);
+    attempts
 }
 
 /// Identical adjacency structure.
@@ -140,32 +180,25 @@ proptest! {
         prop_assert!(t.is_connected());
     }
 
-    /// Differential pin: per-domain window resolution agrees with the
-    /// naive O(n²) global reference on randomized meshes (n ≤ 32), for
-    /// both the clique decomposition and a degenerate per-node partition.
+    /// Differential pin: a fresh per-domain resolver agrees with the naive
+    /// O(n²) global reference on randomized meshes (n ≤ 32), for the
+    /// clique, per-node, single-domain and random partitions.
     #[test]
-    fn mesh_resolution_matches_naive_reference(
+    fn mesh_resolver_matches_naive_reference(
         seed in any::<u64>(),
         n in 8u32..=32,
         raw in proptest::collection::vec((0u32..32, 0u32..31, any::<bool>()), 0..24),
+        labels in proptest::collection::vec(0u32..6, 32..33),
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let t = Topology::random_disk(n, 100.0, 52.0, &mut rng);
-        let mut attempts: Vec<MhAttempt> = raw
-            .into_iter()
-            .filter(|&(station, _, _)| station < n)
-            .map(|(station, slot, relay)| MhAttempt { station, slot, relay })
-            .collect();
-        attempts.sort_by_key(|a| a.station);
-        attempts.dedup_by_key(|a| a.station);
-
+        let attempts = attempts_from(raw, n);
         let airtime = 7;
         let reference = resolve_multihop(&t, &attempts, airtime);
-        let cliques = t.clique_domains();
-        prop_assert_eq!(resolve_mesh(&t, &cliques, &attempts, airtime), reference.clone());
-        let per_node =
-            DomainDecomposition::from_partition((0..n).map(|i| vec![i]).collect(), &t);
-        prop_assert_eq!(resolve_mesh(&t, &per_node, &attempts, airtime), reference);
+        for (name, d) in partitions(&t, &labels) {
+            let got = MeshResolver::new(&t, &d).resolve(&t, &attempts, airtime).clone();
+            prop_assert!(got == reference, "{name} partition: {got:?} != {reference:?}");
+        }
     }
 
     /// The domain-major permutation round-trips node ids for arbitrary
@@ -209,39 +242,32 @@ proptest! {
         prop_assert_eq!(next, n);
     }
 
-    /// The reusable resolver is bit-identical to `resolve_mesh` on
-    /// randomized meshes and clique decompositions, including across
-    /// repeated windows through one resolver instance.
+    /// One resolver reused across a sequence of windows stays
+    /// bit-identical to the reference on every window (no residue from
+    /// earlier windows), for every partition family.
     #[test]
-    fn mesh_resolver_matches_resolve_mesh_on_random_meshes(
+    fn mesh_resolver_matches_reference_across_reused_windows(
         seed in any::<u64>(),
         n in 8u32..=32,
-        raw in proptest::collection::vec((0u32..32, 0u32..31, any::<bool>()), 0..24),
+        windows in proptest::collection::vec(
+            proptest::collection::vec((0u32..32, 0u32..31, any::<bool>()), 0..24),
+            1..5,
+        ),
+        labels in proptest::collection::vec(0u32..6, 32..33),
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let t = Topology::random_disk(n, 100.0, 52.0, &mut rng);
-        let mut attempts: Vec<MhAttempt> = raw
-            .into_iter()
-            .filter(|&(station, _, _)| station < n)
-            .map(|(station, slot, relay)| MhAttempt { station, slot, relay })
-            .collect();
-        attempts.sort_by_key(|a| a.station);
-        attempts.dedup_by_key(|a| a.station);
-
         let airtime = 7;
-        let cliques = t.clique_domains();
-        let mut resolver = MeshResolver::new(&t, &cliques);
-        // Two windows: full attempt set, then a prefix — the second call
-        // must not see residue from the first.
-        prop_assert_eq!(
-            resolver.resolve(&t, &attempts, airtime),
-            &resolve_mesh(&t, &cliques, &attempts, airtime)
-        );
-        let half = &attempts[..attempts.len() / 2];
-        prop_assert_eq!(
-            resolver.resolve(&t, half, airtime),
-            &resolve_mesh(&t, &cliques, half, airtime)
-        );
+        let windows: Vec<Vec<MhAttempt>> =
+            windows.into_iter().map(|raw| attempts_from(raw, n)).collect();
+        for (name, d) in partitions(&t, &labels) {
+            let mut resolver = MeshResolver::new(&t, &d);
+            for (w, attempts) in windows.iter().enumerate() {
+                let want = resolve_multihop(&t, attempts, airtime);
+                let got = resolver.resolve(&t, attempts, airtime);
+                prop_assert!(*got == want, "{name} partition, window {w}: {got:?} != {want:?}");
+            }
+        }
     }
 
     /// The same differential pin on the explicit bridged union the engine
@@ -268,9 +294,10 @@ proptest! {
         attempts.dedup_by_key(|a| a.station);
 
         let airtime = 7;
+        let mut resolver = MeshResolver::new(&t, &d);
         prop_assert_eq!(
-            resolve_mesh(&t, &d, &attempts, airtime),
-            resolve_multihop(&t, &attempts, airtime)
+            resolver.resolve(&t, &attempts, airtime),
+            &resolve_multihop(&t, &attempts, airtime)
         );
     }
 }

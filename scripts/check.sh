@@ -157,7 +157,7 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     fi
 done
 
-echo "==> large-n smoke (n=1000 run inside wall-clock budget, fast vs legacy path identical)"
+echo "==> large-n smoke (n=1000 and bridged-mesh runs inside wall-clock budget, one reference per domain)"
 cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke-large
 
 echo "==> work-stealing deque stress smoke (concurrent steal, exactly-once claims)"

@@ -15,13 +15,10 @@
 //!   the forged timestamps — driven several multiples past the guard
 //!   bound — and never returns to the synchronization criterion.
 //!
-//! Campaign runs always take the engine's plain event loop (members form
-//! intents from live protocol state the SoA fast path cannot represent),
-//! so each drill also pins `engine.path.slow == 1` / `engine.path.fast
-//! == 0` plus the `campaign.tx` counter proving the adversaries actually
-//! transmitted. Determinism of the hostile runs is pinned byte-exactly;
-//! `scripts/check.sh` re-runs this suite at `RAYON_NUM_THREADS` = 1, 2
-//! and 8.
+//! Each drill also pins the `campaign.tx` counter proving the adversaries
+//! actually transmitted. Determinism of the hostile runs is pinned
+//! byte-exactly; `scripts/check.sh` re-runs this suite at
+//! `RAYON_NUM_THREADS` = 1, 2 and 8.
 
 use simcore::SimTime;
 use sstsp::scenario::{CampaignKind, CampaignSpec, TopologySpec};
@@ -52,21 +49,11 @@ fn hostile(kind: ProtocolKind, campaign: CampaignSpec, bridged: bool) -> Scenari
 }
 
 /// Run one hostile scenario under a fresh telemetry session and verify the
-/// engine-path and campaign counters every campaign run must produce.
+/// campaign counter every campaign run must produce.
 fn run_hostile(cfg: &ScenarioConfig, label: &str) -> RunResult {
     let _session = telemetry::recording();
     let r = Network::build(cfg).run();
     let snap = telemetry::snapshot();
-    assert_eq!(
-        snap.counter("engine.path.slow"),
-        1,
-        "{label}: campaign runs must take the plain event loop"
-    );
-    assert_eq!(
-        snap.counter("engine.path.fast"),
-        0,
-        "{label}: fast path must be gated off under a campaign"
-    );
     assert!(
         snap.counter("campaign.tx") > 0,
         "{label}: campaign members never transmitted"
