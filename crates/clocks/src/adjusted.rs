@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// `(t_iʲ, ts_refʲ)` — local unadjusted time at beacon reception, and the
 /// reference's adjusted timestamp corrected for transmission/propagation
 /// delay (`ts_ref = t_ref + t_p`, estimated at the receiver).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SyncSample {
     /// Local unadjusted time at beacon reception (µs).
     pub local_us: f64,

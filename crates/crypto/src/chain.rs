@@ -11,7 +11,7 @@
 
 use crate::sha256::sha256;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::RefCell;
 
 /// Chain element length in bytes (128 bits).
 pub const CHAIN_ELEMENT_LEN: usize = 16;
@@ -35,8 +35,8 @@ thread_local! {
     /// n−1 times per beacon. The function is pure, so serving the cached
     /// output is bit-identical to recomputing it; thread-local storage keeps
     /// parallel sweeps race-free.
-    static STEP_MEMO: Cell<Option<(ChainElement, usize, ChainElement)>> =
-        const { Cell::new(None) };
+    static STEP_MEMO: RefCell<Option<(ChainElement, usize, ChainElement)>> =
+        const { RefCell::new(None) };
 }
 
 /// Apply the one-way function `k` times.
@@ -44,10 +44,12 @@ pub fn chain_step_n(x: &ChainElement, k: usize) -> ChainElement {
     if k == 0 {
         return *x;
     }
-    if let Some((mx, mk, out)) = STEP_MEMO.get() {
-        if mk == k && mx == *x {
-            return out;
-        }
+    let hit = STEP_MEMO.with_borrow(|memo| match memo {
+        Some((mx, mk, out)) if *mk == k && mx == x => Some(*out),
+        _ => None,
+    });
+    if let Some(out) = hit {
+        return out;
     }
     let mut v = *x;
     for _ in 0..k {

@@ -18,12 +18,12 @@
 //! synchronization so a receiver can tell which interval it is in — is what
 //! SSTSP's coarse synchronization phase provides.
 
-use crate::chain::{chain_step_n, ChainElement, HashChain, CHAIN_ELEMENT_LEN};
+use crate::chain::{chain_step_n, ChainElement, HashChain};
 use crate::fractal::FractalTraverser;
 use crate::hmac::{hmac_sha256_128, mac_eq, Mac128};
 use serde::{Deserialize, Serialize};
 use sstsp_telemetry as telemetry;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Test-only mutation hooks (compiled under the `mutation-hooks` feature,
@@ -131,52 +131,53 @@ pub struct BeaconAuth {
 /// Stack-buffer size for beacon-sized MAC inputs (payload + 4-byte index).
 const MAC_STACK: usize = 60;
 
-/// Single-entry memo for [`mac_beacon`] over beacon-sized inputs. Every
+/// Payload length [`mac_beacon`] memoizes: a beacon's 32 auth bytes.
+const MEMO_PAYLOAD: usize = 32;
+
+/// Single-entry memo for [`mac_beacon`] over beacon payloads. Every
 /// receiver of a broadcast beacon recomputes the *same* HMAC over the same
 /// `(key, payload, interval)` triple — n−1 identical calls per released
 /// beacon. The function is pure, so the cached MAC is bit-identical to a
 /// recompute; thread-local storage keeps parallel sweeps race-free.
-#[derive(Clone, Copy)]
 struct MacMemo {
     key: ChainElement,
-    len: usize,
-    payload: [u8; MAC_STACK - 4],
+    payload: [u8; MEMO_PAYLOAD],
     interval: u32,
     mac: Mac128,
 }
 
 thread_local! {
-    static MAC_MEMO: Cell<Option<MacMemo>> = const { Cell::new(None) };
+    static MAC_MEMO: RefCell<Option<MacMemo>> = const { RefCell::new(None) };
 }
 
 /// `HMAC_key(B, j)`: the MAC input is the payload followed by the
 /// little-endian interval index, per the paper's `(B, j)`. Beacon-sized
 /// payloads are assembled on the stack so the per-beacon hot path does not
-/// allocate, and memoized so the per-receiver fan-out pays the HMAC once.
+/// allocate, and memoized so the per-receiver fan-out pays the HMAC once;
+/// the memo is compared in place at fixed sizes.
 fn mac_beacon(key: &[u8], payload: &[u8], interval: u32) -> Mac128 {
-    if key.len() == CHAIN_ELEMENT_LEN && payload.len() <= MAC_STACK - 4 {
-        if let Some(m) = MAC_MEMO.get() {
-            if m.interval == interval
-                && m.len == payload.len()
-                && m.key[..] == *key
-                && m.payload[..m.len] == *payload
-            {
-                return m.mac;
-            }
+    if let (Ok(key), Ok(payload)) = (
+        <&ChainElement>::try_from(key),
+        <&[u8; MEMO_PAYLOAD]>::try_from(payload),
+    ) {
+        let hit = MAC_MEMO.with_borrow(|memo| {
+            memo.as_ref()
+                .filter(|m| m.interval == interval && m.key == *key && m.payload == *payload)
+                .map(|m| m.mac)
+        });
+        if let Some(mac) = hit {
+            return mac;
         }
-        let mut msg = [0u8; MAC_STACK];
-        msg[..payload.len()].copy_from_slice(payload);
-        msg[payload.len()..payload.len() + 4].copy_from_slice(&interval.to_le_bytes());
-        let mac = hmac_sha256_128(key, &msg[..payload.len() + 4]);
-        let mut entry = MacMemo {
-            key: key.try_into().expect("length checked"),
-            len: payload.len(),
-            payload: [0u8; MAC_STACK - 4],
+        let mut msg = [0u8; MEMO_PAYLOAD + 4];
+        msg[..MEMO_PAYLOAD].copy_from_slice(payload);
+        msg[MEMO_PAYLOAD..].copy_from_slice(&interval.to_le_bytes());
+        let mac = hmac_sha256_128(key, &msg);
+        MAC_MEMO.set(Some(MacMemo {
+            key: *key,
+            payload: *payload,
             interval,
             mac,
-        };
-        entry.payload[..payload.len()].copy_from_slice(payload);
-        MAC_MEMO.set(Some(entry));
+        }));
         mac
     } else if payload.len() <= MAC_STACK - 4 {
         let mut msg = [0u8; MAC_STACK];
@@ -359,10 +360,10 @@ pub enum VerifyError {
     PreviousBeaconForged,
 }
 
-/// Inline capacity of [`PayloadBuf`]. Beacon auth bytes are 32, so every
-/// payload the engine buffers stays inline; larger payloads spill to the
-/// heap transparently.
-const PAYLOAD_INLINE: usize = 64;
+/// Inline capacity of [`PayloadBuf`]: a beacon's 32 auth bytes, the only
+/// payload the engine buffers. Larger payloads spill to the heap
+/// transparently.
+const PAYLOAD_INLINE: usize = 32;
 
 /// A beacon payload, held inline when beacon-sized. The verifier buffers
 /// one payload per observed beacon — with an inline buffer that buffering
@@ -388,16 +389,20 @@ impl PayloadBuf {
 
 impl From<&[u8]> for PayloadBuf {
     fn from(bytes: &[u8]) -> Self {
-        if bytes.len() <= PAYLOAD_INLINE {
-            let mut buf = [0u8; PAYLOAD_INLINE];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            PayloadBuf(PayloadRepr::Inline {
-                len: bytes.len() as u8,
-                buf,
-            })
-        } else {
-            PayloadBuf(PayloadRepr::Heap(bytes.to_vec()))
-        }
+        // A beacon-sized payload is copied as one fixed-size array.
+        let buf = match <[u8; PAYLOAD_INLINE]>::try_from(bytes) {
+            Ok(buf) => buf,
+            Err(_) if bytes.len() < PAYLOAD_INLINE => {
+                let mut buf = [0u8; PAYLOAD_INLINE];
+                buf[..bytes.len()].copy_from_slice(bytes);
+                buf
+            }
+            Err(_) => return PayloadBuf(PayloadRepr::Heap(bytes.to_vec())),
+        };
+        PayloadBuf(PayloadRepr::Inline {
+            len: bytes.len() as u8,
+            buf,
+        })
     }
 }
 

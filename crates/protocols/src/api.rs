@@ -283,10 +283,17 @@ pub struct ProtocolConfig {
     /// never terminates. Randomized deferral (each eligible node contends
     /// with this probability, doubling every 10 eligible BPs until it
     /// reaches 1) keeps the expected contender count near `p·N`, so
-    /// elections resolve within a few BPs at every network size — matching
-    /// the paper's "in case of collision, the contention may last several
-    /// BPs" and the small reference-change spikes of Fig. 2. Documented as
-    /// a reproduction deviation in DESIGN.md.
+    /// elections resolve within a few BPs up to about a thousand stations —
+    /// matching the paper's "in case of collision, the contention may last
+    /// several BPs" and the small reference-change spikes of Fig. 2.
+    /// Documented as a reproduction deviation in DESIGN.md.
+    ///
+    /// The ramp only grows, so it does not scale without bound: measured
+    /// at 60 s with seed 2006, n ≤ 1400 elects by BP 3, n ≥ 1600 has no
+    /// successful window in 600 BPs and never elects, and around n = 1550
+    /// the outcome depends on the seed. Making election adapt to
+    /// collisions is an open ROADMAP item ("Make reference election
+    /// scale").
     pub contend_prob: f64,
 }
 

@@ -38,11 +38,14 @@ use crate::api::{
     ProtocolConfig, ReceivedBeacon, SyncProtocol,
 };
 use clocks::{AdjustedClock, SyncSample};
+use fifo::Fifo;
 use mac80211::frame::BeaconBody;
 use rand::Rng;
 use sstsp_crypto::{ChainElement, IntervalSchedule, MuTeslaSigner, MuTeslaVerifier};
 use sstsp_telemetry as telemetry;
 use std::collections::VecDeque;
+
+mod fifo;
 
 /// Retired per-source verifiers kept for reuse. Bounds the cache to the
 /// handful of stations a node realistically alternates between (reference
@@ -86,7 +89,7 @@ pub struct SstspStats {
 /// A beacon observation awaiting µTESLA authentication: reception data for
 /// interval `interval`, usable for clock adjustment only once a later
 /// beacon discloses the interval's key.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PendingObs {
     interval: u32,
     local_rx_us: f64,
@@ -147,8 +150,10 @@ pub struct SstspNode {
     /// synchronization phase"); the lock engages once the observed
     /// timestamp error first drops under δ/2.
     guard_locked: bool,
-    pending: VecDeque<PendingObs>,
-    samples: VecDeque<SyncSample>,
+    /// Observations awaiting their interval's key, oldest first.
+    pending: Fifo<PendingObs, 4>,
+    /// The last two authenticated observations (equations (2)-(5)).
+    samples: Fifo<SyncSample, 2>,
     // Per-BP flags.
     saw_beacon: bool,
     tx_clean: bool,
@@ -210,8 +215,8 @@ impl SstspNode {
             verifier: None,
             verifier_cache: Vec::new(),
             guard_locked: false,
-            pending: VecDeque::with_capacity(4),
-            samples: VecDeque::with_capacity(2),
+            pending: Fifo::new(),
+            samples: Fifo::new(),
             saw_beacon: false,
             tx_clean: false,
             tx_collided: false,
@@ -435,7 +440,7 @@ impl SstspNode {
     }
 
     fn on_secured_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: &ReceivedBeacon) {
-        let BeaconPayload::Secured(body, auth) = rx.payload else {
+        let BeaconPayload::Secured(body, auth) = &rx.payload else {
             return;
         };
         let src = body.src;
@@ -594,7 +599,7 @@ impl SstspNode {
         // the current reference state.
         let on_current_ref = self.ref_src == Some(src);
         let released = if let Some(verifier) = self.verifier.as_mut().filter(|_| on_current_ref) {
-            match verifier.observe(&body.auth_bytes(), &auth, c_now) {
+            match verifier.observe(&body.auth_bytes(), auth, c_now) {
                 Ok(released) => released,
                 Err(_) => {
                     self.stats.mutesla_rejections += 1;
@@ -621,7 +626,7 @@ impl SstspNode {
                 None => MuTeslaVerifier::new(anchor, Self::schedule(ctx)),
             };
             debug_assert!(!candidate.has_pending());
-            match candidate.observe(&body.auth_bytes(), &auth, c_now) {
+            match candidate.observe(&body.auth_bytes(), auth, c_now) {
                 Ok(released) => {
                     // Valid beacon from a new reference: adopt it. If we
                     // held the role ourselves, someone displaced us (we can
@@ -707,12 +712,13 @@ impl SstspNode {
 
         // Promote the observation whose interval just got authenticated.
         if let Some(ab) = released {
-            if let Some(pos) = self.pending.iter().position(|p| p.interval == ab.interval) {
-                let obs = self.pending.remove(pos).expect("position valid");
-                if self.samples.len() == 2 {
-                    self.samples.pop_front();
-                }
-                self.samples.push_back(SyncSample {
+            let pos = self
+                .pending
+                .as_slice()
+                .iter()
+                .position(|p| p.interval == ab.interval);
+            if let Some(obs) = pos.and_then(|pos| self.pending.remove(pos)) {
+                self.samples.push_evicting(SyncSample {
                     local_us: obs.local_rx_us,
                     ref_us: obs.ts_ref_us,
                 });
@@ -720,10 +726,7 @@ impl SstspNode {
         }
 
         // Buffer the current beacon's observation until its key discloses.
-        if self.pending.len() >= 4 {
-            self.pending.pop_front();
-        }
-        self.pending.push_back(PendingObs {
+        self.pending.push_evicting(PendingObs {
             interval: auth.interval,
             local_rx_us: rx.local_rx_us,
             ts_ref_us: ts_ref,

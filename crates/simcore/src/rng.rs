@@ -81,54 +81,114 @@ impl RngStreams {
     }
 }
 
-/// A transparent [`RngCore`] wrapper that counts draws.
+/// Words a [`CountingRng`] draws ahead per refill: four ChaCha blocks, one
+/// pass of the 4-lane keystream kernel.
+const DRAW_AHEAD: usize = 32;
+
+/// A transparent [`RngCore`] wrapper that counts draws, serving
+/// `next_u64` from a draw-ahead buffer.
 ///
-/// The wrapper forwards every call to the inner generator unchanged, so the
-/// produced stream is bit-identical to the unwrapped one — wrapping an
-/// engine RNG in telemetry instrumentation cannot perturb a run. Each of
-/// `next_u32` / `next_u64` / `fill_bytes` counts as one draw; the count is
-/// a cheap proxy for "how much randomness this actor consumed", useful for
-/// spotting draw-pattern drift between runs that should be identical.
+/// The wrapper is exact: every call returns what the same call on the bare
+/// generator would, so wrapping an engine RNG in telemetry instrumentation
+/// cannot perturb a run. `next_u64` draws 32 words at a time through
+/// [`RngCore::fill_u64`] (bulk keystream) and serves them one by one. A
+/// `next_u32` or `fill_bytes` while drawn-ahead words are unserved first
+/// rewinds the generator to the last served word, so it reads the stream
+/// from exactly where the bare generator would.
+///
+/// The count covers what was *served*, never what was drawn ahead: one per
+/// `next_u32` / `next_u64` / `fill_bytes` call and one per word of
+/// `fill_u64`, a cheap proxy for "how much randomness this actor consumed",
+/// useful for spotting draw-pattern drift between runs that should be
+/// identical.
 #[derive(Debug, Clone)]
 pub struct CountingRng<R> {
+    /// The generator, positioned after the last drawn-ahead word.
     inner: R,
+    /// The generator as it was before the current `ahead` batch was drawn,
+    /// kept to rewind to the served position (`served` words later).
+    mark: R,
+    ahead: [u64; DRAW_AHEAD],
+    /// Words of `ahead` already served; `DRAW_AHEAD` = none pending.
+    served: usize,
     draws: u64,
 }
 
-impl<R: RngCore> CountingRng<R> {
+impl<R: RngCore + Clone> CountingRng<R> {
     /// Wrap `inner`, starting the draw count at zero.
     pub fn new(inner: R) -> Self {
-        CountingRng { inner, draws: 0 }
+        CountingRng {
+            mark: inner.clone(),
+            inner,
+            ahead: [0; DRAW_AHEAD],
+            served: DRAW_AHEAD,
+            draws: 0,
+        }
     }
 
-    /// Number of RNG calls made through this wrapper so far.
+    /// Number of draws served through this wrapper so far.
     pub fn draws(&self) -> u64 {
         self.draws
     }
 
-    /// Unwrap, returning the inner generator.
-    pub fn into_inner(self) -> R {
+    /// Unwrap, returning the inner generator at the served position.
+    pub fn into_inner(mut self) -> R {
+        self.rewind();
         self.inner
+    }
+
+    /// Drop the unserved drawn-ahead words, moving the generator back to
+    /// the served position: replaying the served prefix from `mark`
+    /// reproduces it exactly, since `fill_u64` is the `next_u64` loop.
+    fn rewind(&mut self) {
+        if self.served == DRAW_AHEAD {
+            return;
+        }
+        self.inner = self.mark.clone();
+        for _ in 0..self.served {
+            self.inner.next_u64();
+        }
+        self.served = DRAW_AHEAD;
     }
 }
 
-impl<R: RngCore> RngCore for CountingRng<R> {
+impl<R: RngCore + Clone> RngCore for CountingRng<R> {
     #[inline]
     fn next_u32(&mut self) -> u32 {
+        self.rewind();
         self.draws += 1;
         self.inner.next_u32()
     }
 
     #[inline]
     fn next_u64(&mut self) -> u64 {
+        if self.served == DRAW_AHEAD {
+            self.mark.clone_from(&self.inner);
+            self.inner.fill_u64(&mut self.ahead);
+            self.served = 0;
+        }
         self.draws += 1;
-        self.inner.next_u64()
+        let word = self.ahead[self.served];
+        self.served += 1;
+        word
     }
 
     #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.rewind();
         self.draws += 1;
         self.inner.fill_bytes(dest);
+    }
+
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        self.draws += dest.len() as u64;
+        let pending = (DRAW_AHEAD - self.served).min(dest.len());
+        let (head, rest) = dest.split_at_mut(pending);
+        head.copy_from_slice(&self.ahead[self.served..self.served + pending]);
+        self.served += pending;
+        // Pending words ran out before `rest` begins, so `inner` is at
+        // the served position.
+        self.inner.fill_u64(rest);
     }
 }
 

@@ -188,34 +188,53 @@ impl Channel {
     /// receiver in call order. Draw-for-draw equivalent to `count`
     /// sequential [`Channel::deliver`] calls on the same RNG — identical
     /// draw count (zero when the composed loss probability is zero) and
-    /// identical per-receiver decisions — but done in one tight pass so the
-    /// engine's receiver loop can separate randomness from delivery work.
+    /// identical per-receiver decisions — but the words are drawn in bulk
+    /// through [`RngCore::fill_u64`](rand::RngCore::fill_u64), a fixed-size
+    /// stack chunk at a time, so the engine's receiver loop can separate
+    /// randomness from delivery work.
     pub fn deliver_batch<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         count: usize,
         out: &mut Vec<Delivery>,
     ) {
+        const CHUNK: usize = 64;
         out.clear();
         let loss = self.per + self.burst_loss - self.per * self.burst_loss;
         if loss > 0.0 {
-            out.extend((0..count).map(|_| {
-                if rng.random_range(0.0..1.0) < loss {
-                    Delivery::Lost
-                } else {
-                    Delivery::Received
-                }
-            }));
+            let mut words = [0u64; CHUNK];
+            let mut left = count;
+            while left > 0 {
+                let words = &mut words[..left.min(CHUNK)];
+                rng.fill_u64(words);
+                out.extend(words.iter().map(|&w| {
+                    if unit_f64(w) < loss {
+                        Delivery::Lost
+                    } else {
+                        Delivery::Received
+                    }
+                }));
+                left -= words.len();
+            }
         } else {
             out.resize(count, Delivery::Received);
         }
     }
 }
 
+/// `rng.random_range(0.0..1.0)` for the draw `word`: 53 random mantissa
+/// bits scaled into `[0, 1)` (the half-open range's top-of-range guard
+/// never fires at `hi = 1`). `deliver_batch_matches_sequential_deliver`
+/// pins the two equal.
+#[inline]
+fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
     fn at(station: u32, slot: u32) -> TxAttempt {
@@ -359,11 +378,18 @@ mod tests {
             ch.set_burst_loss(burst);
             let mut rng_seq = ChaCha12Rng::seed_from_u64(77);
             let mut rng_batch = ChaCha12Rng::seed_from_u64(77);
-            let seq: Vec<Delivery> = (0..5_000).map(|_| ch.deliver(&mut rng_seq)).collect();
+            // Batch sizes around the draw chunk and the keystream block,
+            // from a start that is not word-aligned within its block.
+            rng_seq.next_u32();
+            rng_batch.next_u32();
             let mut batch = Vec::new();
-            ch.deliver_batch(&mut rng_batch, 5_000, &mut batch);
-            assert_eq!(seq, batch, "per={per} burst={burst}");
-            // Both streams must be left at the same position.
+            for count in [5_000, 0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 128, 129, 999] {
+                let seq: Vec<Delivery> = (0..count).map(|_| ch.deliver(&mut rng_seq)).collect();
+                ch.deliver_batch(&mut rng_batch, count, &mut batch);
+                assert_eq!(seq, batch, "per={per} burst={burst} count={count}");
+                // Both streams must be left at the same position.
+                assert_eq!(rng_seq.stream_pos(), rng_batch.stream_pos());
+            }
             assert_eq!(
                 rng_seq.random_range(0.0..1.0f64),
                 rng_batch.random_range(0.0..1.0f64)

@@ -28,6 +28,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> vendored crates' own tests in release (bulk ChaCha12 kernel, draw stream pins, deque)"
+# Plain 'cargo test' runs the default members only, which leave out
+# vendor/*; run their unit tests explicitly, optimized as the engine runs
+# the 4-lane keystream kernel.
+cargo test -q --release -p rand_core -p rand -p rand_chacha -p rayon
+
 echo "==> cargo test -q -p sstsp-faults --features mutation-hooks (planted-bug mutation check)"
 cargo test -q -p sstsp-faults --features mutation-hooks
 
