@@ -16,10 +16,8 @@
 //! for t), accurate to ~1e-4 in the quantile — far tighter than the
 //! decision boundaries involved.
 
-use serde::{Deserialize, Serialize};
-
 /// GESD test configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GesdConfig {
     /// Maximum number of outliers tested for (`r`).
     pub max_outliers: usize,

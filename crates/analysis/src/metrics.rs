@@ -6,7 +6,6 @@
 //! **synchronization latency**: the first time the maximum difference drops
 //! under the industry threshold of 25 µs (and stays there).
 
-use serde::{Deserialize, Serialize};
 use simcore::{SimTime, TimeSeries};
 
 /// Maximum pairwise spread of a set of clock readings: `max − min`.
@@ -25,7 +24,7 @@ pub fn max_pairwise_spread(clocks_us: &[f64]) -> f64 {
 }
 
 /// Streaming recorder of the maximum-clock-difference series across a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpreadTracker {
     series: TimeSeries,
     peak: f64,
@@ -69,7 +68,7 @@ impl SpreadTracker {
 }
 
 /// The paper's synchronization criterion.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SyncCriterion {
     /// Maximum clock difference regarded as synchronized (µs). The paper
     /// adopts the industrial expectation of 25 µs.

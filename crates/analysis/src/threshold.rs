@@ -7,10 +7,8 @@
 //! samples), then averages the survivors. A *loose* threshold is used in
 //! the coarse phase, a tight one (the guard time δ) in the fine phase.
 
-use serde::{Deserialize, Serialize};
-
 /// Median-distance threshold filter.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThresholdFilter {
     /// Maximum |offset − median| to accept, µs.
     pub threshold_us: f64,

@@ -40,7 +40,6 @@ use protocols::api::{
     BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ReceivedBeacon, SyncProtocol,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sstsp_crypto::{ChainElement, IntervalSchedule, MuTeslaSigner};
 use sstsp_telemetry as telemetry;
 
@@ -61,7 +60,7 @@ const MEMBER_TX_KEYS: [&str; 8] = [
 ];
 
 /// The coordinated behavior a campaign's members execute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CampaignKind {
     /// Colluding fast-beacon leader + replay amplifiers rotating ownership
     /// of slot 0 by BP parity.
@@ -125,7 +124,7 @@ impl CampaignRole {
 /// tail of the last island for bridged meshes, the tail of the id space
 /// otherwise) and hands every member the same spec plus its index; all
 /// coordination derives deterministically from `(spec, index)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignSpec {
     /// Coordinated behavior.
     pub kind: CampaignKind,

@@ -25,13 +25,11 @@
 //! module cross-checks it against the paper's closed-form expressions for
 //! `kʲ` and `bʲ`.
 
-use serde::{Deserialize, Serialize};
-
 /// One synchronization observation: the pair of simultaneous readings
 /// `(t_iʲ, ts_refʲ)` — local unadjusted time at beacon reception, and the
 /// reference's adjusted timestamp corrected for transmission/propagation
 /// delay (`ts_ref = t_ref + t_p`, estimated at the receiver).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SyncSample {
     /// Local unadjusted time at beacon reception (µs).
     pub local_us: f64,
@@ -64,7 +62,7 @@ const K_MIN: f64 = 0.5;
 const K_MAX: f64 = 2.0;
 
 /// SSTSP's piecewise-linear adjusted clock.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdjustedClock {
     k: f64,
     b: f64,

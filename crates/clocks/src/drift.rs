@@ -6,10 +6,9 @@
 
 use crate::oscillator::Oscillator;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for sampling a population of oscillators.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DriftModel {
     /// Maximum relative frequency deviation ρ: rates are uniform in
     /// `[1 − ρ, 1 + ρ]`. The paper uses `1e-4` (0.01 %).

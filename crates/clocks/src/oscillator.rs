@@ -4,7 +4,6 @@
 //! hardware clock as a linear function of real time (footnote 2), so an
 //! oscillator is `(rate, phase)`: local time `t_i(T) = phase + rate · T`.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
 /// A node's free-running oscillator.
@@ -12,7 +11,7 @@ use simcore::SimTime;
 /// `rate` is the relative frequency with respect to real time (1.0 =
 /// perfect; the paper samples uniformly from `[1 − 0.01 %, 1 + 0.01 %]`).
 /// `phase_us` is the local reading at real time 0.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Oscillator {
     rate: f64,
     phase_us: f64,

@@ -11,11 +11,9 @@
 //! the local time base (rather than holding an oscillator reference) lets
 //! protocol code use it without access to real simulation time.
 
-use serde::{Deserialize, Serialize};
-
 /// A node's TSF timer: `timer(t_i) = t_i + offset`, offset adjusted
 /// forward-only by timestamp adoption.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TsfTimer {
     /// Accumulated adjustments, µs.
     offset_us: f64,

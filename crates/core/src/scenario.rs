@@ -8,12 +8,11 @@
 
 use clocks::DriftModel;
 use protocols::api::ProtocolConfig;
-use serde::{Deserialize, Serialize};
 
 pub use attacks::campaign::{CampaignKind, CampaignSpec};
 
 /// Which synchronization protocol the (honest) stations run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
     /// IEEE 802.11 TSF (baseline).
     Tsf,
@@ -52,7 +51,7 @@ impl ProtocolKind {
 }
 
 /// Station churn: a fraction of stations leaves periodically and returns.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChurnConfig {
     /// Departure period in seconds (paper: every 200 s).
     pub period_s: f64,
@@ -74,7 +73,7 @@ impl ChurnConfig {
 }
 
 /// The attacker wired into the scenario (one attacker station, Figs. 3–4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AttackerSpec {
     /// Attack window start, seconds (paper: 400 s).
     pub start_s: f64,
@@ -99,7 +98,7 @@ impl AttackerSpec {
 
 /// Topology for the multi-hop extension. `None` = the paper's single-hop
 /// IBSS (full connectivity, single-window channel model).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum TopologySpec {
     /// A path of stations: worst case for per-hop error accumulation.
     Line,
@@ -150,7 +149,7 @@ impl TopologySpec {
 }
 
 /// A jamming window: the channel destroys every transmission inside it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct JamWindow {
     /// Start, seconds.
     pub start_s: f64,
@@ -159,7 +158,7 @@ pub struct JamWindow {
 }
 
 /// A complete scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Protocol run by honest stations.
     pub protocol: ProtocolKind,

@@ -10,7 +10,6 @@
 //! paper's 128-bit hash values and the 92-byte secured beacon size).
 
 use crate::sha256::sha256;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Chain element length in bytes (128 bits).
@@ -65,7 +64,7 @@ pub fn chain_step_n(x: &ChainElement, k: usize) -> ChainElement {
 /// `element(n)` the anchor. The store-all strategy trades `n · 16` bytes of
 /// memory for O(1) element access; the `fractal` module provides the
 /// O(log n) alternative the paper cites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashChain {
     elements: Vec<ChainElement>,
 }

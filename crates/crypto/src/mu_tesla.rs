@@ -21,7 +21,6 @@
 use crate::chain::{chain_step_n, ChainElement, HashChain};
 use crate::fractal::FractalTraverser;
 use crate::hmac::{hmac_sha256_128, mac_eq, Mac128};
-use serde::{Deserialize, Serialize};
 use sstsp_telemetry as telemetry;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -75,7 +74,7 @@ pub mod mutation {
 }
 
 /// Maps (loosely synchronized) local time to beacon-interval indices.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IntervalSchedule {
     /// Chain start time T₀ in microseconds of synchronized time.
     pub t0_us: f64,
@@ -118,7 +117,7 @@ impl IntervalSchedule {
 /// The authentication fields appended to a secured beacon: interval index,
 /// 128-bit MAC, 128-bit disclosed key. 4 + 16 + 16 = 36 bytes — exactly the
 /// growth from the 56-byte TSF beacon to the paper's 92-byte SSTSP beacon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeaconAuth {
     /// Beacon interval index `j` (1-based).
     pub interval: u32,

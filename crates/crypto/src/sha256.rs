@@ -444,15 +444,42 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Digest of `msg` fed to the streaming hasher in two pieces, cut at
+    /// `split` (clamped to the message length).
+    fn streamed_in_two(msg: &[u8], split: usize) -> [u8; DIGEST_LEN] {
+        let split = split.min(msg.len());
+        let mut h = Sha256::new();
+        h.update(&msg[..split]);
+        h.update(&msg[split..]);
+        h.finalize()
+    }
+
+    #[test]
+    fn recorded_streaming_case_matches_oneshot() {
+        // A shrunk failure case once recorded for `streaming_matches_oneshot`:
+        // 193 bytes (80 zeros, then 113 recorded bytes) crossing three block
+        // boundaries, split 479 (clamped to 193, so one piece is empty).
+        let tail = concat!(
+            "05f8efd3904af263dd85a31fd2baedc8a171c2412d9e88612bf19907fcebf2b8",
+            "d91d6793ebb66be564ed7228ed9944d5b7e7f66a8d0f6ba8faea47e2843eefb6",
+            "f87073711e94a5f8988d14fc8ccbf81dfc17529afef4e56038f701f05afafb62",
+            "2398071d9164b3c3356c1a36b696c20084",
+        );
+        let mut msg = vec![0u8; 80];
+        msg.extend(
+            (0..tail.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&tail[i..i + 2], 16).unwrap()),
+        );
+        assert_eq!(msg.len(), 193);
+        assert_eq!(streamed_in_two(&msg, 479), sha256(&msg));
+    }
+
     proptest! {
         #[test]
         fn streaming_matches_oneshot(msg in proptest::collection::vec(any::<u8>(), 0..512),
                                      split in 0usize..512) {
-            let split = split.min(msg.len());
-            let mut h = Sha256::new();
-            h.update(&msg[..split]);
-            h.update(&msg[split..]);
-            prop_assert_eq!(h.finalize(), sha256(&msg));
+            prop_assert_eq!(streamed_in_two(&msg, split), sha256(&msg));
         }
 
         #[test]

@@ -7,11 +7,10 @@
 //! hears a beacon first (802.11-1999 §11.1.2.2; the paper uses `w = 30`).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Beacon generation window parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionWindow {
     /// The window parameter `w`: slots are drawn from `0..=w`.
     pub w: u32,

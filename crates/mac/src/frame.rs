@@ -9,13 +9,12 @@
 //!   (4 bytes) and two 128-bit hash values (the beacon HMAC and the
 //!   disclosed chain element).
 //!
-//! The simulator moves typed structs around; serialization exists so the
+//! The simulator moves typed structs around; the wire forms exist so the
 //! byte-level overheads are *measured*, not asserted, and so the µTESLA MAC
-//! is computed over real bytes.
+//! is computed over real bytes. Each wire form is a fixed-size array, so
+//! its length is part of its type.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-use sstsp_crypto::{BeaconAuth, ChainElement, Mac128};
+use sstsp_crypto::BeaconAuth;
 
 /// Serialized size of a plain TSF beacon (preamble + data), bytes.
 pub const WIRE_LEN_PLAIN: usize = 56;
@@ -31,7 +30,7 @@ const PLAIN_DATA_LEN: usize = WIRE_LEN_PLAIN - PREAMBLE_LEN; // 32
 
 /// The unsecured synchronization beacon body `B`: what TSF transmits, and
 /// what SSTSP authenticates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeaconBody {
     /// Sender station id (stand-in for the 6-byte source MAC address).
     pub src: u32,
@@ -53,29 +52,21 @@ pub struct BeaconBody {
 }
 
 impl BeaconBody {
-    /// Serialize to the 56-byte wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(WIRE_LEN_PLAIN);
+    /// Serialize to the 56-byte wire form: the preamble followed by
+    /// [`auth_bytes`](Self::auth_bytes).
+    pub fn encode(&self) -> [u8; WIRE_LEN_PLAIN] {
+        let mut out = [0u8; WIRE_LEN_PLAIN];
         // Preamble: fixed training pattern (contents irrelevant, length is
         // what the airtime accounting uses).
-        buf.put_bytes(0xAA, PREAMBLE_LEN);
-        buf.put_u64_le(self.timestamp_us);
-        buf.put_u32_le(self.src);
-        buf.put_u32_le(self.seq);
-        buf.put_u32_le(self.root);
-        buf.put_u32_le(self.hop);
-        // Remaining MAC header bytes (duration, capability, FCS...)
-        // modeled as padding.
-        buf.put_bytes(0x00, PLAIN_DATA_LEN - 24);
-        debug_assert_eq!(buf.len(), WIRE_LEN_PLAIN);
-        buf.freeze()
+        out[..PREAMBLE_LEN].fill(0xAA);
+        out[PREAMBLE_LEN..].copy_from_slice(&self.auth_bytes());
+        out
     }
 
     /// The bytes the µTESLA HMAC covers: the beacon data without the PHY
     /// preamble (a receiver authenticates the frame, not the radio
-    /// training sequence). Returned as a stack array — this runs once per
-    /// receiver per beacon, so it must not allocate. Byte-identical to
-    /// `encode()[PREAMBLE_LEN..]`.
+    /// training sequence). This runs once per receiver per beacon, so it
+    /// returns a stack array and does not allocate.
     pub fn auth_bytes(&self) -> [u8; PLAIN_DATA_LEN] {
         let mut out = [0u8; PLAIN_DATA_LEN];
         out[..8].copy_from_slice(&self.timestamp_us.to_le_bytes());
@@ -83,36 +74,32 @@ impl BeaconBody {
         out[12..16].copy_from_slice(&self.seq.to_le_bytes());
         out[16..20].copy_from_slice(&self.root.to_le_bytes());
         out[20..24].copy_from_slice(&self.hop.to_le_bytes());
-        // Bytes 24..32 stay zero: the padding `encode` writes after `hop`.
+        // Bytes 24..32 stay zero: the remaining MAC header bytes
+        // (duration, capability, FCS...) modeled as padding.
         out
     }
 
     /// Decode from wire form.
-    pub fn decode(mut wire: Bytes) -> Result<Self, FrameError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, FrameError> {
         if wire.len() != WIRE_LEN_PLAIN {
             return Err(FrameError::Length {
                 expected: WIRE_LEN_PLAIN,
                 got: wire.len(),
             });
         }
-        wire.advance(PREAMBLE_LEN);
-        let timestamp_us = wire.get_u64_le();
-        let src = wire.get_u32_le();
-        let seq = wire.get_u32_le();
-        let root = wire.get_u32_le();
-        let hop = wire.get_u32_le();
+        let data = &wire[PREAMBLE_LEN..];
         Ok(BeaconBody {
-            src,
-            seq,
-            timestamp_us,
-            root,
-            hop,
+            timestamp_us: u64::from_le_bytes(field(data, 0)),
+            src: u32::from_le_bytes(field(data, 8)),
+            seq: u32::from_le_bytes(field(data, 12)),
+            root: u32::from_le_bytes(field(data, 16)),
+            hop: u32::from_le_bytes(field(data, 20)),
         })
     }
 }
 
 /// An SSTSP-secured beacon: `<B, j, HMAC_{key_j}(B, j), disclosed_key>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecuredBeacon {
     /// The original unsecured beacon `B`.
     pub body: BeaconBody,
@@ -121,41 +108,44 @@ pub struct SecuredBeacon {
 }
 
 impl SecuredBeacon {
-    /// Serialize to the 92-byte wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(WIRE_LEN_SECURED);
-        buf.put_slice(&self.body.encode());
-        buf.put_u32_le(self.auth.interval);
-        buf.put_slice(&self.auth.mac);
-        buf.put_slice(&self.auth.disclosed);
-        debug_assert_eq!(buf.len(), WIRE_LEN_SECURED);
-        buf.freeze()
+    /// Serialize to the 92-byte wire form: the plain beacon, then the
+    /// interval index, the beacon MAC and the disclosed chain element.
+    pub fn encode(&self) -> [u8; WIRE_LEN_SECURED] {
+        let mut out = [0u8; WIRE_LEN_SECURED];
+        out[..WIRE_LEN_PLAIN].copy_from_slice(&self.body.encode());
+        let rest = &mut out[WIRE_LEN_PLAIN..];
+        rest[..4].copy_from_slice(&self.auth.interval.to_le_bytes());
+        rest[4..20].copy_from_slice(&self.auth.mac);
+        rest[20..].copy_from_slice(&self.auth.disclosed);
+        out
     }
 
     /// Decode from wire form.
-    pub fn decode(wire: Bytes) -> Result<Self, FrameError> {
+    pub fn decode(wire: &[u8]) -> Result<Self, FrameError> {
         if wire.len() != WIRE_LEN_SECURED {
             return Err(FrameError::Length {
                 expected: WIRE_LEN_SECURED,
                 got: wire.len(),
             });
         }
-        let body = BeaconBody::decode(wire.slice(..WIRE_LEN_PLAIN))?;
-        let mut rest = wire.slice(WIRE_LEN_PLAIN..);
-        let interval = rest.get_u32_le();
-        let mut mac: Mac128 = [0u8; 16];
-        rest.copy_to_slice(&mut mac);
-        let mut disclosed: ChainElement = [0u8; 16];
-        rest.copy_to_slice(&mut disclosed);
+        let body = BeaconBody::decode(&wire[..WIRE_LEN_PLAIN])?;
+        let rest = &wire[WIRE_LEN_PLAIN..];
         Ok(SecuredBeacon {
             body,
             auth: BeaconAuth {
-                interval,
-                mac,
-                disclosed,
+                interval: u32::from_le_bytes(field(rest, 0)),
+                mac: field(rest, 4),
+                disclosed: field(rest, 20),
             },
         })
     }
+}
+
+/// The `N` bytes at offset `at` of a length-checked frame.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes[at..at + N]
+        .try_into()
+        .expect("field lies inside the length-checked frame")
 }
 
 /// Frame decoding failure.
@@ -221,7 +211,7 @@ mod tests {
     #[test]
     fn plain_roundtrip() {
         let b = body();
-        assert_eq!(BeaconBody::decode(b.encode()).unwrap(), b);
+        assert_eq!(BeaconBody::decode(&b.encode()).unwrap(), b);
     }
 
     #[test]
@@ -230,20 +220,20 @@ mod tests {
             body: body(),
             auth: auth(),
         };
-        assert_eq!(SecuredBeacon::decode(sb.encode()).unwrap(), sb);
+        assert_eq!(SecuredBeacon::decode(&sb.encode()).unwrap(), sb);
     }
 
     #[test]
     fn wrong_length_rejected() {
-        let short = Bytes::from_static(&[0u8; 10]);
+        let short = [0u8; 10];
         assert!(matches!(
-            BeaconBody::decode(short.clone()),
+            BeaconBody::decode(&short),
             Err(FrameError::Length {
                 expected: 56,
                 got: 10
             })
         ));
-        assert!(SecuredBeacon::decode(short).is_err());
+        assert!(SecuredBeacon::decode(&short).is_err());
     }
 
     #[test]
@@ -255,19 +245,35 @@ mod tests {
         assert_eq!(&ab[..8], &123_456_789u64.to_le_bytes());
     }
 
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn auth_bytes_match_encoded_frame() {
-        // The stack-array fast path must stay byte-identical to the wire
-        // encoding with the preamble stripped.
-        let b = BeaconBody {
-            src: u32::MAX,
-            seq: 0,
-            timestamp_us: u64::MAX - 3,
-            root: 0xDEAD_BEEF,
-            hop: 7,
+    fn encoded_frames_match_pinned_images() {
+        // Exact wire images of the fixed beacon: 24 preamble bytes, the
+        // little-endian timestamp/src/seq/root/hop, 8 padding bytes, then
+        // (secured only) interval 99, the MAC and the disclosed key.
+        let plain = concat!(
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+            "15cd5b0700000000110000009210000011000000000000000000000000000000",
+        );
+        let secured = concat!(
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+            "15cd5b0700000000110000009210000011000000000000000000000000000000",
+            "63000000",
+            "11111111111111111111111111111111",
+            "22222222222222222222222222222222",
+        );
+        assert_eq!(body().encode().to_vec(), unhex(plain));
+        let sb = SecuredBeacon {
+            body: body(),
+            auth: auth(),
         };
-        assert_eq!(&b.auth_bytes()[..], &b.encode()[PREAMBLE_LEN..]);
-        assert_eq!(&body().auth_bytes()[..], &body().encode()[PREAMBLE_LEN..]);
+        assert_eq!(sb.encode().to_vec(), unhex(secured));
     }
 
     #[test]
@@ -314,7 +320,7 @@ mod proptests {
                                       ts in any::<u64>(), root in any::<u32>(),
                                       hop in any::<u32>()) {
             let b = BeaconBody { src, seq, timestamp_us: ts, root, hop };
-            prop_assert_eq!(BeaconBody::decode(b.encode()).unwrap(), b);
+            prop_assert_eq!(BeaconBody::decode(&b.encode()).unwrap(), b);
         }
 
         #[test]
@@ -328,7 +334,7 @@ mod proptests {
                 body: BeaconBody { src, seq, timestamp_us: ts, root, hop },
                 auth: BeaconAuth { interval, mac, disclosed },
             };
-            prop_assert_eq!(SecuredBeacon::decode(sb.encode()).unwrap(), sb);
+            prop_assert_eq!(SecuredBeacon::decode(&sb.encode()).unwrap(), sb);
         }
     }
 }

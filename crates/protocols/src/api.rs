@@ -10,7 +10,6 @@
 use clocks::AdjustedClock;
 use mac80211::frame::BeaconBody;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use sstsp_crypto::chain::chain_step_n;
 use sstsp_crypto::{BeaconAuth, ChainElement};
 use std::cell::Cell;
@@ -102,7 +101,7 @@ enum AnchorEntry {
 /// the dominant setup cost of a large network (n hashes × N stations), and
 /// in a single-collision-domain steady state only the reference's anchor
 /// is ever looked up.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AnchorRegistry {
     anchors: HashMap<NodeId, Cell<AnchorEntry>>,
 }
@@ -207,7 +206,7 @@ impl MeshRole {
 /// Attack-recovery policy — the paper's "future work" (Sec. 3.4): on
 /// detecting malicious beacons, raise an alert and optionally restart the
 /// synchronization procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Rejected beacons within the window required to trigger.
     pub rejection_threshold: u32,
@@ -229,7 +228,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// Shared protocol parameters (one instance per scenario).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Beacon period, µs (paper: 0.1 s).
     pub bp_us: f64,

@@ -23,17 +23,6 @@ impl TestHarness {
         }
     }
 
-    /// Kept as fixture API even while no current test overrides the config.
-    #[allow(dead_code)]
-    pub fn with_config(id: NodeId, config: ProtocolConfig) -> Self {
-        TestHarness {
-            id,
-            rng: ChaCha12Rng::seed_from_u64(1000 + id as u64),
-            anchors: AnchorRegistry::new(),
-            config,
-        }
-    }
-
     /// Build a context at the given local time.
     pub fn ctx(&mut self, local_us: f64) -> NodeCtx<'_> {
         NodeCtx {

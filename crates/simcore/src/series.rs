@@ -5,10 +5,9 @@
 //! operations used when rendering figures as text or CSV.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An append-only series of `(time, value)` samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     name: String,
     times: Vec<SimTime>,

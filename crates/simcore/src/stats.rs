@@ -5,10 +5,8 @@
 //! linear-bin histogram with overflow/underflow buckets, sufficient for the
 //! clock-error distributions we report.
 
-use serde::{Deserialize, Serialize};
-
 /// One-pass mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -84,11 +82,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -102,7 +95,7 @@ impl OnlineStats {
 
 /// Where a [`Histogram::quantile`] estimate landed relative to the binned
 /// range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QuantileEstimate {
     /// The estimate, interpolated inside `[lo, hi)`.
     Value(f64),
@@ -128,7 +121,7 @@ impl QuantileEstimate {
 
 /// Fixed-width linear-bin histogram over `[lo, hi)` with underflow and
 /// overflow buckets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

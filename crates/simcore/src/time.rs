@@ -5,7 +5,6 @@
 //! integer representation means event ordering is exact and runs are
 //! bit-reproducible across platforms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,15 +20,11 @@ pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// An instant of simulated (real, i.e. "true") time, in picoseconds since
 /// the start of the simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -176,12 +171,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_SEC as f64
-    }
-
-    /// True if the duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Integer division of durations (how many `rhs` fit in `self`).

@@ -8,10 +8,9 @@
 //! transmissions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A station's transmission attempt within a beacon generation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxAttempt {
     /// Opaque station identifier (index into the scenario's node table).
     pub station: u32,
@@ -58,7 +57,7 @@ pub enum WindowOutcome {
 }
 
 /// Single-collision-domain channel with Bernoulli packet errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Channel {
     /// Packet error rate per (beacon, receiver) pair. The paper sets
     /// 0.01 % = 1e-4.

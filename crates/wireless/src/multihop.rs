@@ -22,10 +22,9 @@
 //! runs every beacon period.
 
 use crate::topology::{DomainDecomposition, DomainOrder, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A station's declared behaviour in a multi-hop beacon window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MhAttempt {
     /// Station id.
     pub station: u32,

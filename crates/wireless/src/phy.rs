@@ -1,7 +1,6 @@
 //! PHY-layer timing for the OFDM (ERP) physical layer the paper simulates
 //! (54 Mbit/s, Sec. 5).
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// TSF beacon on-air size per the paper's accounting: 24 bytes of preamble
@@ -13,7 +12,7 @@ pub const FRAME_OVERHEAD_TSF: usize = 56;
 pub const FRAME_OVERHEAD_SSTSP: usize = 92;
 
 /// Physical-layer timing parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PhyParams {
     /// aSlotTime in microseconds (9 µs for OFDM / ERP).
     pub slot_us: u64,

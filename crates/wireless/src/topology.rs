@@ -8,11 +8,10 @@
 //! distances) for the experiments that measure error growth per hop.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A static connectivity graph over stations `0..n`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     n: u32,
     /// Sorted neighbor lists.
@@ -296,7 +295,7 @@ impl Topology {
 /// cross-domain edge does not guarantee. (Bridges themselves never
 /// contend to become a domain's reference, so they are excluded from the
 /// coverage requirement; the set is computed as a monotone fixpoint.)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainDecomposition {
     /// Sorted member ids per domain, in domain order.
     pub domains: Vec<Vec<u32>>,

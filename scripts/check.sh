@@ -22,6 +22,13 @@ if [ "$members" -eq 0 ] || [ "$members" != "$defaults" ]; then
     exit 1
 fi
 
+echo "==> no unused dependency edges (library targets, -D unused-crate-dependencies)"
+# A manifest edge no library uses only slows the build; test-only crates
+# belong in [dev-dependencies]. The separate target dir keeps the main
+# build cache valid (RUSTFLAGS changes would otherwise rebuild it).
+RUSTFLAGS="-D unused-crate-dependencies" cargo check -q --workspace --lib \
+    --target-dir target/unused-deps
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

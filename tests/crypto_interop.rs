@@ -27,7 +27,7 @@ fn protocol_beacon_verifies_after_wire_roundtrip() {
         // Serialize to the 92-byte wire image and decode on the receiver.
         let wire = SecuredBeacon { body, auth }.encode();
         assert_eq!(wire.len(), 92);
-        let decoded = SecuredBeacon::decode(wire).expect("valid frame");
+        let decoded = SecuredBeacon::decode(&wire).expect("valid frame");
         assert_eq!(decoded.body, body);
 
         let out = verifier
@@ -59,10 +59,9 @@ fn bitflip_anywhere_in_frame_is_caught() {
     let auth1 = signer.sign(&body.auth_bytes(), 1);
 
     // Tamper with the timestamp inside the wire image of beacon 1.
-    let wire = SecuredBeacon { body, auth: auth1 }.encode();
-    let mut tampered_bytes = wire.to_vec();
-    tampered_bytes[24] ^= 0x01; // first byte of the timestamp field
-    let tampered = SecuredBeacon::decode(bytes::Bytes::from(tampered_bytes)).unwrap();
+    let mut wire = SecuredBeacon { body, auth: auth1 }.encode();
+    wire[24] ^= 0x01; // first byte of the timestamp field
+    let tampered = SecuredBeacon::decode(&wire).unwrap();
 
     let mut verifier = MuTeslaVerifier::new(signer.anchor(), sched);
     verifier
